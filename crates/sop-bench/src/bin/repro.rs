@@ -21,9 +21,6 @@
 //!   (requires `--json`).
 //! * `--jobs N` — run simulation points on N worker threads (0 or
 //!   omitted = one per core). Output is byte-identical for any N.
-//! * `--threads N` — shard each machine across N worker threads
-//!   (lookahead-bounded domain parallelism). Output is byte-identical
-//!   for any N; machines too small to shard run sequentially.
 //! * `--no-cache` — recompute every simulation point, ignoring
 //!   `target/sop-cache/`.
 //! * `--resume` — replay points recorded in the campaign manifests of a
@@ -36,6 +33,9 @@
 //!   exercise). Faulted specs hash differently, so the fault-free cache
 //!   is never contaminated; goldens are measured on the healthy machine
 //!   and may legitimately fail under damage.
+//!
+//! Unknown flags and unknown experiment ids are rejected (exit 2, with
+//! the valid set) before anything runs.
 //!
 //! The `degradation` experiment id prints the seeded router-death sweep
 //! (pod throughput vs fraction of failed routers); it is not part of
@@ -70,25 +70,19 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match flag_value(&args, "--threads").map(|v| v.parse::<usize>()) {
-        None => {}
-        Some(Ok(n)) if n >= 1 => sop_sim::set_default_threads(n),
-        Some(_) => {
-            eprintln!("repro: --threads must be a positive integer");
-            std::process::exit(2);
-        }
-    }
-    let exec = Exec::new(ExecConfig::from_args(&args));
-    let ids = experiment_ids(&args);
+    let ids = experiment_ids(&args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    });
     if ids.is_empty() {
         eprintln!(
             "usage: repro <experiment id>... | all [--quick] [--json <path>] [--quiet] \
-             [--jobs N] [--threads N] [--no-cache] [--resume] [--stable] \
-             [--fault routers:N@CYCLE]"
+             [--jobs N] [--no-cache] [--resume] [--stable] [--fault routers:N@CYCLE]"
         );
         eprintln!("see DESIGN.md for the experiment index");
         std::process::exit(2);
     }
+    let exec = Exec::new(ExecConfig::from_args(&args));
     if quiet {
         let Some(path) = json_path else {
             eprintln!("repro: --quiet requires --json <path> (nothing would be printed)");
@@ -97,14 +91,8 @@ fn main() {
         rerun_quietly(&path);
     }
 
-    let all = [
-        "fig2.1", "fig2.2", "fig2.3", "tab2.1", "tab2.3", "tab2.4", "fig3.1", "fig3.3", "fig3.4",
-        "fig3.5", "fig3.6", "tab3.2", "sec3.4.5", "fig4.3", "tab4.1", "fig4.6", "fig4.7", "fig4.8",
-        "fig4.9", "sec4.5", "tab5.1", "tab5.2", "fig5.1", "fig5.2", "fig5.3", "fig5.5", "fig6.4",
-        "fig6.5", "fig6.6", "fig6.7", "tab6.2",
-    ];
     let run: Vec<&str> = if ids.iter().any(|i| i == "all") {
-        all.to_vec()
+        ALL.to_vec()
     } else {
         ids.iter().map(String::as_str).collect()
     };
@@ -248,23 +236,51 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// The experiments `all` runs, in order.
+const ALL: [&str; 31] = [
+    "fig2.1", "fig2.2", "fig2.3", "tab2.1", "tab2.3", "tab2.4", "fig3.1", "fig3.3", "fig3.4",
+    "fig3.5", "fig3.6", "tab3.2", "sec3.4.5", "fig4.3", "tab4.1", "fig4.6", "fig4.7", "fig4.8",
+    "fig4.9", "sec4.5", "tab5.1", "tab5.2", "fig5.1", "fig5.2", "fig5.3", "fig5.5", "fig6.4",
+    "fig6.5", "fig6.6", "fig6.7", "tab6.2",
+];
+
+/// Ids [`dispatch`] accepts beyond [`ALL`]: aliases of figures `all`
+/// already prints, the opt-in degradation sweep, and `all` itself.
+const EXTRA_IDS: [&str; 5] = ["tab2.2", "fig5.4", "tab6.1", "degradation", "all"];
+
+/// Flags that take a value, and flags that stand alone.
+const VALUE_FLAGS: [&str; 3] = ["--json", "--jobs", "--fault"];
+const SWITCHES: [&str; 5] = ["--quick", "--quiet", "--no-cache", "--resume", "--stable"];
+
 /// Positional experiment ids: everything that is not a flag or a flag's
-/// value.
-fn experiment_ids(args: &[String]) -> Vec<String> {
+/// value. An unknown flag or id is an error naming the valid set, so a
+/// typo fails before anything runs instead of after the ids before it.
+fn experiment_ids(args: &[String]) -> Result<Vec<String>, String> {
     let mut ids = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        let a = a.as_str();
+        if VALUE_FLAGS.contains(&a) {
+            rest.next();
+        } else if SWITCHES.contains(&a) {
             continue;
-        }
-        match a.as_str() {
-            "--json" | "--jobs" | "--threads" | "--fault" => skip = true,
-            "--quick" | "--quiet" | "--no-cache" | "--resume" | "--stable" => {}
-            _ => ids.push(a.clone()),
+        } else if a.starts_with("--") {
+            return Err(format!(
+                "unknown flag {a}; one of: {} {}",
+                VALUE_FLAGS.join(" "),
+                SWITCHES.join(" ")
+            ));
+        } else if ALL.contains(&a) || EXTRA_IDS.contains(&a) {
+            ids.push(a.to_owned());
+        } else {
+            return Err(format!(
+                "unknown experiment id: {a}; one of: {} {}",
+                ALL.join(" "),
+                EXTRA_IDS.join(" ")
+            ));
         }
     }
-    ids
+    Ok(ids)
 }
 
 /// `"fig4.6"` -> `"ch4"`; chapter spans group the per-figure spans.
@@ -346,9 +362,36 @@ fn dispatch(id: &str, quick: bool, exec: &Exec) {
         "tab6.1" => ch2::print_tab2_1(),
         "tab6.2" => ch6::print_tab6_2(),
         "degradation" => degradation::print_sweep_on(exec, quick),
-        other => {
-            eprintln!("unknown experiment id: {other}");
-            std::process::exit(2);
-        }
+        other => unreachable!("experiment id {other} passed validation"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_owned()).collect()
+    }
+
+    #[test]
+    fn known_flags_and_ids_parse() {
+        let ids = experiment_ids(&args(&[
+            "fig3.3", "--quick", "--jobs", "2", "--json", "r.json", "tab6.1", "--stable",
+        ]));
+        assert_eq!(ids, Ok(args(&["fig3.3", "tab6.1"])));
+        assert_eq!(experiment_ids(&args(&["all"])), Ok(args(&["all"])));
+    }
+
+    #[test]
+    fn unknown_flags_and_ids_are_rejected_up_front() {
+        // A removed flag must not be silently ignored next to `all`.
+        let err = experiment_ids(&args(&["all", "--quick", "--threads", "4"])).unwrap_err();
+        assert!(err.starts_with("unknown flag --threads"), "{err}");
+        assert!(err.contains("--jobs"), "the valid set is listed: {err}");
+        // A bogus id is caught before the valid ids ahead of it run.
+        let err = experiment_ids(&args(&["fig3.3", "bogus"])).unwrap_err();
+        assert!(err.starts_with("unknown experiment id: bogus"), "{err}");
+        assert!(err.contains("fig3.3"), "the valid set is listed: {err}");
     }
 }

@@ -7,8 +7,8 @@
 //! [`RegionTimer`]s placed around the disjoint phases of the engine's
 //! tick loop, and exports flat `prof.*` counters into the metrics
 //! registry. [`ProfBreakdown`] then renders the "where did the host time
-//! go" table and the host-ns-per-simulated-cycle figure that decides
-//! where intra-run parallelism boundaries should be cut.
+//! go" table and the host-ns-per-simulated-cycle figure that says
+//! which component an optimisation should target.
 //!
 //! Like the transaction tracer, profiling is compiled into every build
 //! but armed explicitly: the disarmed cost is one `Option` null-check

@@ -13,11 +13,9 @@
 //! sop diff   <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]
 //!                                             structurally compare two sop-report/v1
 //!                                             documents; exit 1 on any divergence
-//! sop sweep  <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--threads N] [--no-cache]
+//! sop sweep  <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--no-cache]
 //!            [--resume] [--json FILE] [--quick] [--stable] [--no-heartbeat]
-//!                                             run a named experiment campaign;
-//!                                             --threads shards each machine across
-//!                                             N worker threads (bit-identical)
+//!                                             run a named experiment campaign
 //! sop fleet  [--servers N] [--policy drain|derate] [--org NAME] [--seed S] [--quick]
 //!            [--jobs N] [--no-cache] [--resume] [--json FILE] [--stable] [--no-heartbeat]
 //!            [--series]                       simulate a fleet of SOP servers behind a
@@ -39,10 +37,12 @@
 //!                                             analysis over a report's `series`
 //!                                             section: burn table, incident timeline
 //!                                             with cause tags, TTD vs TTR
-//! sop bench  [--quick] [--jobs N] [--threads N] [--only ch3[,ch4...]] [--json FILE]
+//! sop bench  [--quick] [--jobs N] [--only ch3[,ch4...]] [--json FILE]
 //!            [--baseline FILE] [--tol PCT]    time the simulator hot paths and
 //!                                             append the run to the bench history
-//! sop prof   [<workload>] [--topo T] [--quick] [--cores N] [--threads N] [--json FILE]
+//!                                             in FILE (default bench.json; the
+//!                                             committed history is BENCH_sim.json)
+//! sop prof   [<workload>] [--topo T] [--quick] [--cores N] [--json FILE]
 //!                                             run a self-profiled pod window and
 //!                                             print the host-side component
 //!                                             self-time table
@@ -60,6 +60,10 @@
 //! sop cache  [--dir DIR]                      audit the result cache for debris
 //! sop list                                    list design names
 //! ```
+//!
+//! `--help` (or `-h`) anywhere on the command line prints the usage and
+//! exits 0 before anything runs. A numeric flag whose value does not
+//! parse exits 2 naming the flag instead of falling back to its default.
 
 use scale_out_processors::bench::bench::{
     append_history, check_regression, commit_hash, history_entry, run_suite_with_metrics,
@@ -87,7 +91,12 @@ use scale_out_processors::workloads::Workload;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
+    let cmd = args.first().map(String::as_str).unwrap_or("");
+    // `--help` anywhere asks for usage: nothing runs and nothing is
+    // written (a subcommand must never treat it as an ordinary flag).
+    if args.iter().any(|a| a == "--help" || a == "-h") || cmd == "help" {
+        usage(0);
+    }
     match cmd {
         "pod" => pod(&args),
         "chip" => chip(&args),
@@ -104,36 +113,40 @@ fn main() {
         "metrics" => metrics_cmd(&args),
         "cache" => cache(&args),
         "list" => list(),
-        "help" | "--help" | "-h" => usage(),
+        "" => usage(2),
         other => {
             eprintln!(
                 "unknown subcommand {other:?}; one of: pod chip dc stack trace diff sweep \
                  fleet slo bench prof top metrics cache list"
             );
-            usage();
+            usage(2);
         }
     }
 }
 
-/// Parses `--threads N` and arms the intra-run parallel engine for
-/// every machine the command builds. Results are bit-identical at any
-/// thread count — the knob is a host resource, not a config axis —
-/// which is also why it is not part of the result-cache identity.
-fn apply_threads(args: &[String]) {
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    if threads == 0 {
-        eprintln!("--threads must be at least 1");
-        std::process::exit(2);
-    }
-    scale_out_processors::sim::set_default_threads(threads);
+/// The value following `flag`, if the flag is present.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
+    let i = args.iter().position(|a| a == flag)?;
+    args.get(i + 1)
 }
 
-fn usage() {
+/// The number following `flag`, or `None` when the flag is absent. A
+/// missing or malformed value exits 2 naming the flag and the value, so
+/// a typo never runs silently with the default.
+fn num_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    args.iter().position(|a| a == flag)?;
+    let value = flag_value(args, flag).map_or("", String::as_str);
+    match value.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("{flag}: {value:?} is not a valid number");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Prints the usage summary to stderr and exits with `code`.
+fn usage(code: i32) -> ! {
     eprintln!("usage: sop pod <ooo|io> [--node 40|20]");
     eprintln!("       sop chip <design> [--node 40|20]");
     eprintln!("       sop dc <design> [--mem GB]");
@@ -144,8 +157,8 @@ fn usage() {
     );
     eprintln!("       sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]");
     eprintln!(
-        "       sop sweep <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--threads N] \
-         [--no-cache] [--resume] [--json FILE] [--quick] [--stable] [--no-heartbeat]"
+        "       sop sweep <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--no-cache] \
+         [--resume] [--json FILE] [--quick] [--stable] [--no-heartbeat]"
     );
     eprintln!(
         "       sop fleet [--servers N] [--policy drain|derate] [--org NAME] [--seed S] \
@@ -161,19 +174,19 @@ fn usage() {
          [--ascii-sparkline]"
     );
     eprintln!(
-        "       sop bench [--quick] [--jobs N] [--threads N] [--only ch3[,ch4...]] \
+        "       sop bench [--quick] [--jobs N] [--only ch3[,ch4...]] \
          [--json FILE] [--baseline FILE] [--tol PCT]"
     );
     eprintln!(
         "       sop prof [<workload>] [--topo mesh|fbfly|nocout] [--quick] [--cores N] \
-         [--threads N] [--json FILE]"
+         [--json FILE]"
     );
     eprintln!("       sop prof --analyze <a.json> [b.json] [--tol PCT] [--tol-path PREFIX=PCT]");
     eprintln!("       sop top [--file PATH] [--once] [--interval-ms N]");
     eprintln!("       sop metrics <report.json> [--text]");
     eprintln!("       sop cache [--dir DIR]");
     eprintln!("       sop list");
-    std::process::exit(2);
+    std::process::exit(code);
 }
 
 /// Runs a named experiment campaign on the execution engine and writes
@@ -184,13 +197,9 @@ fn sweep(args: &[String]) {
         eprintln!("unknown campaign {name:?}; one of: {}", CAMPAIGNS.join(" "));
         std::process::exit(2);
     }
-    apply_threads(args);
     let quick = args.iter().any(|a| a == "--quick");
     let stable = args.iter().any(|a| a == "--stable");
-    let out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
+    let out = flag_value(args, "--json")
         .cloned()
         .unwrap_or_else(|| format!("sweep-{name}.json"));
     let exec = Exec::new(ExecConfig::from_args(args));
@@ -243,85 +252,55 @@ fn fleet(args: &[String]) {
     let storm = args.iter().any(|a| a == "--storm");
     let series = args.iter().any(|a| a == "--series");
     let slo = args.iter().any(|a| a == "--slo");
-    let servers: u32 = args
-        .iter()
-        .position(|a| a == "--servers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 64 } else { 256 });
+    let servers: u32 = num_flag(args, "--servers").unwrap_or(if quick { 64 } else { 256 });
     if servers == 0 {
         eprintln!("--servers must be at least 1");
         std::process::exit(2);
     }
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let org = args
-        .iter()
-        .position(|a| a == "--org")
-        .and_then(|i| args.get(i + 1))
-        .map(|name| {
-            if org_by_name(name).is_none() {
-                let known: Vec<&str> = ORGS.iter().map(|o| o.name).collect();
-                eprintln!("unknown organization {name:?}; one of: {}", known.join(" "));
-                std::process::exit(2);
-            }
-            name.as_str()
-        });
-    let policy = args
-        .iter()
-        .position(|a| a == "--policy")
-        .and_then(|i| args.get(i + 1))
-        .map(|label| {
-            Policy::from_label(label).unwrap_or_else(|| {
-                let known: Vec<&str> = Policy::ALL.iter().map(|p| p.label()).collect();
-                eprintln!("unknown policy {label:?}; one of: {}", known.join(" "));
-                std::process::exit(2);
-            })
-        });
-    let topology = args
-        .iter()
-        .position(|a| a == "--topology")
-        .and_then(|i| args.get(i + 1))
-        .map(|label| {
-            if DomainTopology::from_label(label).is_none() {
-                eprintln!(
-                    "unknown topology {label:?}; one of: {}",
-                    DomainTopology::labels().join(" ")
-                );
-                std::process::exit(2);
-            }
-            label.as_str()
-        });
-    let retry = args
-        .iter()
-        .position(|a| a == "--retry")
-        .and_then(|i| args.get(i + 1))
-        .map(|label| {
-            if RetryPolicy::from_label(label).is_none() {
-                eprintln!(
-                    "unknown retry policy {label:?}; one of: {}",
-                    RetryPolicy::labels().join(" ")
-                );
-                std::process::exit(2);
-            }
-            label.as_str()
-        });
-    let shed = args
-        .iter()
-        .position(|a| a == "--shed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| match v.as_str() {
-            "on" => true,
-            "off" => false,
-            other => {
-                eprintln!("unknown --shed value {other:?}; one of: on off");
-                std::process::exit(2);
-            }
-        });
+    let seed: u64 = num_flag(args, "--seed").unwrap_or(42);
+    let org = flag_value(args, "--org").map(|name| {
+        if org_by_name(name).is_none() {
+            let known: Vec<&str> = ORGS.iter().map(|o| o.name).collect();
+            eprintln!("unknown organization {name:?}; one of: {}", known.join(" "));
+            std::process::exit(2);
+        }
+        name.as_str()
+    });
+    let policy = flag_value(args, "--policy").map(|label| {
+        Policy::from_label(label).unwrap_or_else(|| {
+            let known: Vec<&str> = Policy::ALL.iter().map(|p| p.label()).collect();
+            eprintln!("unknown policy {label:?}; one of: {}", known.join(" "));
+            std::process::exit(2);
+        })
+    });
+    let topology = flag_value(args, "--topology").map(|label| {
+        if DomainTopology::from_label(label).is_none() {
+            eprintln!(
+                "unknown topology {label:?}; one of: {}",
+                DomainTopology::labels().join(" ")
+            );
+            std::process::exit(2);
+        }
+        label.as_str()
+    });
+    let retry = flag_value(args, "--retry").map(|label| {
+        if RetryPolicy::from_label(label).is_none() {
+            eprintln!(
+                "unknown retry policy {label:?}; one of: {}",
+                RetryPolicy::labels().join(" ")
+            );
+            std::process::exit(2);
+        }
+        label.as_str()
+    });
+    let shed = flag_value(args, "--shed").map(|v| match v.as_str() {
+        "on" => true,
+        "off" => false,
+        other => {
+            eprintln!("unknown --shed value {other:?}; one of: on off");
+            std::process::exit(2);
+        }
+    });
     if !resilience && (storm || slo || topology.is_some() || retry.is_some() || shed.is_some()) {
         eprintln!("--storm/--topology/--retry/--shed/--slo require --resilience");
         std::process::exit(2);
@@ -330,18 +309,13 @@ fn fleet(args: &[String]) {
         eprintln!("--series applies to the plain fleet sweep; use --slo with --resilience");
         std::process::exit(2);
     }
-    let out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if resilience {
-                "resilience.json".to_owned()
-            } else {
-                "fleet.json".to_owned()
-            }
-        });
+    let out = flag_value(args, "--json").cloned().unwrap_or_else(|| {
+        if resilience {
+            "resilience.json".to_owned()
+        } else {
+            "fleet.json".to_owned()
+        }
+    });
     // Heartbeat job_finish events carry the fleet tick counter so
     // `sop top` can report simulated-hours per second, and the SLO
     // alert counters so it can render live alert state when a run arms
@@ -712,12 +686,7 @@ fn slo_cmd(args: &[String]) {
         std::process::exit(2);
     };
     let pct = |flag: &str, default: f64| -> f64 {
-        let v: f64 = args
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default);
+        let v: f64 = num_flag(args, flag).unwrap_or(default);
         if v <= 0.0 || v >= 100.0 {
             eprintln!("{flag} must be a percentage in (0, 100)");
             std::process::exit(2);
@@ -725,11 +694,7 @@ fn slo_cmd(args: &[String]) {
         v / 100.0
     };
     let target = pct("--target", 99.9);
-    let latency_ms: Option<u64> = args
-        .iter()
-        .position(|a| a == "--latency-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
+    let latency_ms: Option<u64> = num_flag(args, "--latency-ms");
     let latency_target = pct("--latency-target", 99.0);
     let sparkline = args.iter().any(|a| a == "--ascii-sparkline");
 
@@ -872,10 +837,7 @@ fn print_slo_analysis(a: &scale_out_processors::obs::SloAnalysis, ttr: Option<f6
 /// content hash, stray `*.tmp.*` debris and foreign files called out.
 /// Exits non-zero if anything but valid entries is found.
 fn cache(args: &[String]) {
-    let dir = args
-        .iter()
-        .position(|a| a == "--dir")
-        .and_then(|i| args.get(i + 1))
+    let dir = flag_value(args, "--dir")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(scale_out_processors::exec::default_cache_dir);
     let audit = match audit_dir(&dir) {
@@ -909,23 +871,15 @@ fn cache(args: &[String]) {
 /// document. The run is appended to the `history` array carried forward
 /// from the previous document at the output path (commit, date, per-tier
 /// Mcycles/s), and the engine registry populates the report's top-level
-/// `metrics`. With `--baseline FILE` the run becomes a regression gate:
-/// any campaign more than `--tol` percent (default 25) slower than the
-/// baseline document's latest history entry fails the command.
+/// `metrics`. The output defaults to `bench.json`; the committed history
+/// `BENCH_sim.json` is written only when named with `--json`. With
+/// `--baseline FILE` the run becomes a regression gate: any campaign
+/// more than `--tol` percent (default 25) slower than the baseline
+/// document's latest history entry fails the command.
 fn bench(args: &[String]) {
-    apply_threads(args);
     let quick = args.iter().any(|a| a == "--quick");
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let only_arg = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let jobs: usize = num_flag(args, "--jobs").unwrap_or(0);
+    let only_arg = flag_value(args, "--only").cloned();
     let only: Option<Vec<&str>> = only_arg.as_deref().map(|list| {
         list.split(',')
             .map(|name| {
@@ -943,18 +897,10 @@ fn bench(args: &[String]) {
             })
             .collect()
     });
-    let out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
+    let out = flag_value(args, "--json")
         .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".to_owned());
-    let tol: f64 = args
-        .iter()
-        .position(|a| a == "--tol")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25.0);
+        .unwrap_or_else(|| "bench.json".to_owned());
+    let tol: f64 = num_flag(args, "--tol").unwrap_or(25.0);
 
     let mut spans = SpanLog::new();
     let (mut data, metrics) = spans.time("bench", |_| {
@@ -993,11 +939,7 @@ fn bench(args: &[String]) {
     }
     println!("wrote {out}");
 
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1))
-    {
+    if let Some(path) = flag_value(args, "--baseline") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read baseline {path}: {e}");
             std::process::exit(1);
@@ -1031,11 +973,7 @@ fn core_kind(args: &[String]) -> CoreKind {
 }
 
 fn node(args: &[String]) -> TechnologyNode {
-    match args
-        .iter()
-        .position(|a| a == "--node")
-        .and_then(|i| args.get(i + 1))
-    {
+    match flag_value(args, "--node") {
         Some(v) if v == "20" => TechnologyNode::N20,
         Some(v) if v == "32" => TechnologyNode::N32,
         _ => TechnologyNode::N40,
@@ -1117,12 +1055,7 @@ fn chip(args: &[String]) {
 
 fn dc(args: &[String]) {
     let d = design(args);
-    let mem: u32 = args
-        .iter()
-        .position(|a| a == "--mem")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    let mem: u32 = num_flag(args, "--mem").unwrap_or(64);
     let params = TcoParams::thesis();
     let dc = Datacenter::for_design(d, &params, mem);
     println!(
@@ -1150,10 +1083,7 @@ fn trace(args: &[String]) {
     let name = args.get(1).map(String::as_str).unwrap_or("websearch");
     let workload = workload_by_name(name);
     let topo = topology_arg(args);
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
+    let out = flag_value(args, "--out")
         .cloned()
         .unwrap_or_else(|| "trace.json".to_owned());
     let (warm, measure) = if args.iter().any(|a| a == "--quick") {
@@ -1161,21 +1091,12 @@ fn trace(args: &[String]) {
     } else {
         (4_000, 8_000)
     };
-    let sample: u64 = args
-        .iter()
-        .position(|a| a == "--sample")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let sample: u64 = num_flag(args, "--sample").unwrap_or(1);
     if sample == 0 {
         eprintln!("--sample must be at least 1");
         std::process::exit(2);
     }
-    let cores: Option<u32> = args
-        .iter()
-        .position(|a| a == "--cores")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
+    let cores: Option<u32> = num_flag(args, "--cores");
     let (cfg, point) = match cores {
         Some(n) => (
             SimConfig::validation(workload, n, topo),
@@ -1236,12 +1157,7 @@ fn workload_by_name(name: &str) -> Workload {
 
 /// Parses `--topo mesh|fbfly|nocout` (default NOC-Out).
 fn topology_arg(args: &[String]) -> TopologyKind {
-    match args
-        .iter()
-        .position(|a| a == "--topo")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+    match flag_value(args, "--topo").map(String::as_str) {
         Some("mesh") => TopologyKind::Mesh,
         Some("fbfly") => TopologyKind::FlattenedButterfly,
         None | Some("nocout") => TopologyKind::NocOut,
@@ -1268,7 +1184,6 @@ fn prof(args: &[String]) {
         prof_analyze(args);
         return;
     }
-    apply_threads(args);
     let name = args
         .get(1)
         .map(String::as_str)
@@ -1281,15 +1196,8 @@ fn prof(args: &[String]) {
     } else {
         (4_000, 8_000)
     };
-    let cores: Option<u32> = args
-        .iter()
-        .position(|a| a == "--cores")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    let out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
+    let cores: Option<u32> = num_flag(args, "--cores");
+    let out = flag_value(args, "--json")
         .cloned()
         .unwrap_or_else(|| "prof.json".to_owned());
     let (cfg, point) = match cores {
@@ -1375,12 +1283,7 @@ fn prof_analyze(args: &[String]) {
         println!();
         println!("{path_b}:");
         print!("{}", b.render());
-        let tol: f64 = args
-            .iter()
-            .position(|x| x == "--tol")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(25.0);
+        let tol: f64 = num_flag(args, "--tol").unwrap_or(25.0);
         let mut cfg = DiffConfig::with_tol(tol / 100.0);
         let mut i = at + 1;
         while i < args.len() {
@@ -1430,19 +1333,11 @@ fn prof_analyze(args: &[String]) {
 /// `--once` renders a single snapshot and exits (1 when the stream
 /// holds no campaign yet).
 fn top(args: &[String]) {
-    let file = args
-        .iter()
-        .position(|a| a == "--file")
-        .and_then(|i| args.get(i + 1))
+    let file = flag_value(args, "--file")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| scale_out_processors::exec::default_cache_dir().join(PROGRESS_FILE));
     let once = args.iter().any(|a| a == "--once");
-    let interval: u64 = args
-        .iter()
-        .position(|a| a == "--interval-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
+    let interval: u64 = num_flag(args, "--interval-ms").unwrap_or(500);
     loop {
         let snap = snapshot(&read_events(&file));
         if once {
@@ -1530,12 +1425,7 @@ fn diff(args: &[String]) {
         eprintln!("usage: sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]");
         std::process::exit(2);
     };
-    let tol: f64 = args
-        .iter()
-        .position(|a| a == "--tol")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
+    let tol: f64 = num_flag(args, "--tol").unwrap_or(0.0);
     let mut cfg = DiffConfig::with_tol(tol / 100.0);
     let mut i = 3;
     while i < args.len() {
@@ -1591,7 +1481,13 @@ fn diff(args: &[String]) {
 
 fn stack(args: &[String]) {
     let kind = core_kind(args);
-    let dies: u32 = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(2);
+    let dies: u32 = match args.get(2).filter(|a| !a.starts_with("--")) {
+        None => 2,
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("<dies>: {v:?} is not a valid number");
+            std::process::exit(2);
+        }),
+    };
     let strategy = if args.iter().any(|a| a == "--fixed-distance") {
         StackStrategy::FixedDistance
     } else {

@@ -9,6 +9,7 @@
 //! configurations and a chapter-4 pod and require the *entire* result —
 //! every named metric, histogram bucket, and NOC counter — to be equal.
 
+use scale_out_processors::exec::Exec;
 use scale_out_processors::noc::TopologyKind;
 use scale_out_processors::sim::{Machine, SimConfig, SimResult};
 use scale_out_processors::workloads::Workload;
@@ -84,72 +85,90 @@ fn consecutive_windows_match_reference() {
     }
 }
 
-/// The domain-parallel engine at 1, 2, and 4 threads must produce the
-/// same result — every named metric, histogram bucket, and NOC counter
-/// — as the per-cycle reference, for every chapter-quick configuration.
-/// Same discipline as `tests/fleet_determinism.rs`: the thread count is
-/// a host resource knob and must never be observable in the results.
-fn assert_threads_equivalent(cfg: SimConfig, warm: u64, measure: u64, what: &str) {
-    let mut reference = Machine::new(cfg);
-    reference.set_reference_mode(true);
-    let expect = reference.run_window(warm, measure);
-    for threads in [1usize, 2, 4] {
-        let mut machine = Machine::new(cfg);
-        machine.set_threads(threads);
-        assert!(
-            threads > 1 || !machine.par_active(),
-            "--threads 1 must stay on the sequential path: {what}"
-        );
-        let got = machine.run_window(warm, measure);
-        assert_eq!(got, expect, "--threads {threads} diverged: {what}");
-    }
-}
+/// Worker threads for the concurrent runs below: more than one, so
+/// machines really do run side by side.
+const WORKERS: usize = 4;
 
-#[test]
-fn parallel_validation_configs_match_reference() {
-    for topology in [TopologyKind::Crossbar, TopologyKind::Mesh] {
-        for cores in [4u32, 16] {
-            let cfg = SimConfig::validation(Workload::WebSearch, cores, topology);
-            assert_threads_equivalent(
-                cfg,
-                500,
-                1_500,
-                &format!("WebSearch x{cores} on {topology:?}"),
-            );
+/// Copies of each configuration run at once, so identical machines share
+/// the pool as well as different ones.
+const COPIES: usize = 2;
+
+/// Parallelism lives across independent runs (the `sop-exec` worker
+/// pool), never inside one. Machines simulated concurrently on that pool
+/// must each produce exactly the per-cycle reference result — every
+/// named metric, histogram bucket, and NOC counter — for `windows`
+/// consecutive windows. Same discipline as `tests/fleet_determinism.rs`:
+/// the worker count is a host resource knob, and no state may leak from
+/// one machine to another.
+fn assert_concurrent_equivalent(
+    cfgs: &[(SimConfig, String)],
+    windows: usize,
+    warm: u64,
+    measure: u64,
+) {
+    let run = |cfg: SimConfig, reference: bool| -> Vec<SimResult> {
+        let mut machine = Machine::new(cfg);
+        machine.set_reference_mode(reference);
+        (0..windows)
+            .map(|_| machine.run_window(warm, measure))
+            .collect()
+    };
+    let items: Vec<(usize, SimConfig)> = cfgs
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (cfg, _))| std::iter::repeat_n((i, *cfg), COPIES))
+        .collect();
+    let got = Exec::with_workers(WORKERS).map(items, |(i, cfg)| (i, run(cfg, false)));
+    for (i, results) in got {
+        let (cfg, what) = &cfgs[i];
+        let expect = run(*cfg, true);
+        for (window, (g, e)) in results.iter().zip(&expect).enumerate() {
+            assert_eq!(g, e, "concurrent run diverged: {what}, window {window}");
         }
     }
 }
 
 #[test]
+fn parallel_validation_configs_match_reference() {
+    let mut cfgs = Vec::new();
+    for topology in [TopologyKind::Crossbar, TopologyKind::Mesh] {
+        for cores in [4u32, 16] {
+            cfgs.push((
+                SimConfig::validation(Workload::WebSearch, cores, topology),
+                format!("WebSearch x{cores} on {topology:?}"),
+            ));
+        }
+    }
+    assert_concurrent_equivalent(&cfgs, 1, 500, 1_500);
+}
+
+#[test]
 fn parallel_pod_64_nocout_matches_reference() {
     let cfg = SimConfig::pod_64(Workload::WebSearch, TopologyKind::NocOut);
-    assert_threads_equivalent(cfg, 1_500, 3_000, "pod_64 WebSearch on NOC-Out");
+    assert_concurrent_equivalent(
+        &[(cfg, "pod_64 WebSearch on NOC-Out".into())],
+        1,
+        1_500,
+        3_000,
+    );
 }
 
 #[test]
 fn parallel_pod_64_flattened_butterfly_matches_reference() {
     let cfg = SimConfig::pod_64(Workload::MapReduceC, TopologyKind::FlattenedButterfly);
-    assert_threads_equivalent(
-        cfg,
+    assert_concurrent_equivalent(
+        &[(cfg, "pod_64 MapReduceC on flattened butterfly".into())],
+        1,
         1_500,
         3_000,
-        "pod_64 MapReduceC on flattened butterfly",
     );
 }
 
-/// Carried-over parallel-engine state (domain scratch, poll chunks,
-/// worklists) must stay equivalent across consecutive windows too.
+/// Carried-over engine state must stay equivalent across consecutive
+/// windows when pods run concurrently too. The 64-core pod carries the
+/// most state across a window boundary.
 #[test]
 fn parallel_consecutive_windows_match_reference() {
     let cfg = SimConfig::pod_64(Workload::DataServing, TopologyKind::Mesh);
-    let mut parallel = Machine::new(cfg);
-    parallel.set_threads(4);
-    assert!(parallel.par_active(), "a 64-core pod must shard");
-    let mut reference = Machine::new(cfg);
-    reference.set_reference_mode(true);
-    for window in 0..2 {
-        let p = parallel.run_window(500, 1_000);
-        let r = reference.run_window(500, 1_000);
-        assert_eq!(p, r, "window {window} diverged");
-    }
+    assert_concurrent_equivalent(&[(cfg, "pod_64 DataServing on Mesh".into())], 2, 500, 1_000);
 }
