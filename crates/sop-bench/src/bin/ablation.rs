@@ -38,7 +38,11 @@ fn main() {
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let exec = Exec::new(ExecConfig::from_args(&args));
+    let config = ExecConfig::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
+    let exec = Exec::new(config);
     let which = args
         .iter()
         .enumerate()

@@ -82,7 +82,11 @@ fn main() {
         eprintln!("see DESIGN.md for the experiment index");
         std::process::exit(2);
     }
-    let exec = Exec::new(ExecConfig::from_args(&args));
+    let config = ExecConfig::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
+    let exec = Exec::new(config);
     if quiet {
         let Some(path) = json_path else {
             eprintln!("repro: --quiet requires --json <path> (nothing would be printed)");

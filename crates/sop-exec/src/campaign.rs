@@ -253,24 +253,33 @@ impl ExecConfig {
     /// Parses the engine's standard flags from argv: `--jobs N`,
     /// `--no-cache`, `--resume`, `--timeout-secs N`, `--retries N`,
     /// `--no-heartbeat`.
-    /// Unknown arguments are ignored (they belong to the host binary).
-    pub fn from_args(args: &[String]) -> Self {
-        fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
+    /// Unknown arguments are ignored (they belong to the host binary). A
+    /// numeric flag with a missing or malformed value is an error naming
+    /// the flag and the value, so a typo never runs with the default.
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
+        fn flag_value<T: std::str::FromStr>(
+            args: &[String],
+            flag: &str,
+        ) -> Result<Option<T>, String> {
+            let Some(i) = args.iter().position(|a| a == flag) else {
+                return Ok(None);
+            };
+            let value = args.get(i + 1).map_or("", String::as_str);
+            value
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("{flag}: {value:?} is not a valid number"))
         }
         let defaults = ExecConfig::default();
-        ExecConfig {
-            jobs: flag_value(args, "--jobs").unwrap_or(0),
+        Ok(ExecConfig {
+            jobs: flag_value(args, "--jobs")?.unwrap_or(0),
             no_cache: args.iter().any(|a| a == "--no-cache"),
             resume: args.iter().any(|a| a == "--resume"),
-            timeout_secs: flag_value(args, "--timeout-secs"),
-            retries: flag_value(args, "--retries").unwrap_or(defaults.retries),
+            timeout_secs: flag_value(args, "--timeout-secs")?,
+            retries: flag_value(args, "--retries")?.unwrap_or(defaults.retries),
             heartbeat: !args.iter().any(|a| a == "--no-heartbeat"),
             ..defaults
-        }
+        })
     }
 }
 

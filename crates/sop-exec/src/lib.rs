@@ -356,12 +356,25 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let cfg = ExecConfig::from_args(&args);
+        let cfg = ExecConfig::from_args(&args).expect("valid flags");
         assert_eq!(cfg.jobs, 4);
         assert!(cfg.no_cache);
         assert!(cfg.resume);
-        let none = ExecConfig::from_args(&["prog".to_owned()]);
+        let none = ExecConfig::from_args(&["prog".to_owned()]).expect("no flags");
         assert_eq!(none.jobs, 0);
         assert!(!none.no_cache && !none.resume);
+        for flag in ["--jobs", "--retries", "--timeout-secs"] {
+            let bad: Vec<String> = ["prog", flag, "abc"]
+                .iter()
+                .map(|s| (*s).to_owned())
+                .collect();
+            let err = ExecConfig::from_args(&bad).expect_err(flag);
+            assert!(err.contains(flag) && err.contains("\"abc\""), "{err}");
+            let missing: Vec<String> = ["prog", flag].iter().map(|s| (*s).to_owned()).collect();
+            assert!(
+                ExecConfig::from_args(&missing).is_err(),
+                "{flag} without a value"
+            );
+        }
     }
 }

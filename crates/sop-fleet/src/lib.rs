@@ -14,15 +14,24 @@
 //! policy — drain or derate, the two repair postures of the TCO derate
 //! model — decides what a damaged server does until repair.
 //!
+//! One tick loop runs every fleet scenario:
+//! [`simulate_resilience`](resilience::simulate_resilience). A plain
+//! fleet run is that loop under the plain presets
+//! ([`ResilienceParams::plain`](resilience::ResilienceParams::plain):
+//! flat topology, no retries, shedder off, capacity-proportional
+//! balancing); the resilience campaign layers correlated failure
+//! domains, retrying clients, health checks, and the shedder on the
+//! same loop ([`resilience`]).
+//!
 //! Everything is deterministic: all randomness comes from the vendored
 //! shim RNG with explicit per-stream seeds, time advances in integer
 //! ticks (1 tick = 1 simulated second), queues are integer fluid
 //! queues, and the load balancer splits arrivals with exact integer
 //! largest-prefix arithmetic. Two runs of the same
-//! [`SimParams`](sim::SimParams) are bit-identical regardless of host,
-//! worker count, or cache state — which is what lets fleet runs be
-//! pure, cacheable `sop-exec` jobs ([`point`]) and fleet reports be
-//! diffed with `--tol 0`.
+//! [`ResilienceParams`](resilience::ResilienceParams) are bit-identical
+//! regardless of host, worker count, or cache state — which is what
+//! lets fleet runs be pure, cacheable `sop-exec` jobs ([`point`]) and
+//! fleet reports be diffed with `--tol 0`.
 //!
 //! The headline outputs, per chip organization × policy:
 //! cost-per-sustained-QPS and the tail-latency-vs-utilization curve
@@ -45,9 +54,10 @@ pub use point::{
     FleetPointSpec, ResiliencePointSpec, SLO_AVAILABILITY_TARGET,
 };
 pub use resilience::{
-    simulate_resilience, ResilienceOutcome, ResilienceParams, RetryPolicy, RETRY_POLICIES,
+    simulate_resilience, Balance, ResilienceOutcome, ResilienceParams, ResilienceWindow,
+    RetryPolicy, RETRY_POLICIES,
 };
-pub use sim::{simulate, FleetOutcome, Policy, SimParams, WindowStats};
+pub use sim::{Policy, SimParams};
 pub use traffic::TrafficModel;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,8 +74,9 @@ pub fn ticks_simulated() -> u64 {
     TICKS.load(Ordering::Relaxed)
 }
 
-/// Total server-step events processed by fleet runs in this process
-/// (a server touched in a tick because it had arrivals or backlog).
+/// Total server events processed by fleet runs in this process: one
+/// per non-empty batch allocation to a server, plus one per server that
+/// serves backlog in a tick.
 /// The `fleet-quick` bench tier reports its delta as events/sec.
 pub fn events_processed() -> u64 {
     EVENTS.load(Ordering::Relaxed)

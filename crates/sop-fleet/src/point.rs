@@ -4,7 +4,8 @@
 //! names one run completely — organization, policy, fleet size, seed,
 //! and every resolved simulation parameter — so its canonical JSON
 //! form is a sound content-address for the result. Evaluation is a
-//! pure function of the spec ([`crate::simulate`] is deterministic),
+//! pure function of the spec ([`crate::simulate_resilience`] is
+//! deterministic),
 //! so the engine may cache, parallelize, and resume fleet campaigns
 //! freely without changing a single byte of the report.
 //!
@@ -16,8 +17,13 @@
 use sop_exec::{Exec, Job};
 use sop_obs::{Histogram, Json, Registry};
 
+use crate::domains::DomainTopology;
 use crate::org::{org_by_name, ServerSpec, ORGS};
-use crate::sim::{simulate, FleetOutcome, Policy, SimParams};
+use crate::resilience::{
+    simulate_resilience, ResilienceOutcome, ResilienceParams, RetryPolicy, SHED_INTERVAL_TICKS,
+    SHED_TARGET_MS,
+};
+use crate::sim::{Policy, SimParams};
 
 /// One fully-specified fleet run.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +69,8 @@ impl FleetPointSpec {
         ServerSpec::for_org(org)
     }
 
-    /// The resolved simulation parameters.
+    /// The resolved simulation parameters; the run uses them under the
+    /// plain presets ([`ResilienceParams::plain`]).
     pub fn params(&self) -> SimParams {
         let per_server_qps = self.server().capacity_qps;
         if self.quick {
@@ -113,11 +120,10 @@ impl FleetPointSpec {
     /// armed the row additionally carries the per-window series.
     pub fn evaluate(&self) -> Json {
         let server = self.server();
-        let params = self.params();
-        let outcome = simulate(&params);
+        let outcome = simulate_resilience(&ResilienceParams::plain(self.params()));
         let mut doc = row(self, &server, &outcome);
         if self.series {
-            doc.insert("series", outcome.series().to_json());
+            doc.insert("series", outcome.plain_series().to_json());
         }
         doc
     }
@@ -141,8 +147,8 @@ fn with_quantiles(mut doc: Json, hist: &Histogram) -> Json {
 /// Windows bucketed by offered-utilization decile (`util_pct` is the
 /// decile floor in percent; everything at or past 110% pools in the
 /// last bin), with merged latency histograms per bin.
-fn curve(outcome: &FleetOutcome) -> Json {
-    let nominal = outcome.params.nominal_capacity();
+fn curve(outcome: &ResilienceOutcome) -> Json {
+    let nominal = outcome.params.base.nominal_capacity();
     const BINS: usize = 12;
     let mut hists: Vec<Histogram> = vec![Histogram::new(); BINS];
     let mut windows = [0u64; BINS];
@@ -176,10 +182,13 @@ fn curve(outcome: &FleetOutcome) -> Json {
     )
 }
 
-fn row(spec: &FleetPointSpec, server: &ServerSpec, outcome: &FleetOutcome) -> Json {
+fn row(spec: &FleetPointSpec, server: &ServerSpec, outcome: &ResilienceOutcome) -> Json {
     let fleet_monthly = server.monthly_cost_usd * f64::from(spec.servers);
-    let sustained = outcome.sustained_qps();
-    let offered_total = outcome.offered();
+    let p = &outcome.params.base;
+    let t = &outcome.totals;
+    // Served requests per tick, the denominator of cost-per-QPS.
+    let sustained = t.served as f64 / p.duration_ticks as f64;
+    let offered_total = t.offered;
     let doc = Json::object()
         .with("org", spec.org.as_str())
         .with("policy", spec.policy.label())
@@ -188,13 +197,13 @@ fn row(spec: &FleetPointSpec, server: &ServerSpec, outcome: &FleetOutcome) -> Js
         .with("pods_per_chip", server.pods_per_chip)
         .with("sockets", server.sockets)
         .with("per_server_qps", server.capacity_qps)
-        .with("capacity_qps", outcome.params.nominal_capacity())
+        .with("capacity_qps", p.nominal_capacity())
         .with("chip_price_usd", server.chip_price_usd)
         .with("server_monthly_usd", server.monthly_cost_usd)
         .with("fleet_monthly_usd", fleet_monthly)
         .with(
             "offered_qps",
-            offered_total as f64 / outcome.params.duration_ticks as f64,
+            offered_total as f64 / p.duration_ticks as f64,
         )
         .with("sustained_qps", sustained)
         .with(
@@ -202,7 +211,7 @@ fn row(spec: &FleetPointSpec, server: &ServerSpec, outcome: &FleetOutcome) -> Js
             if offered_total == 0 {
                 0.0
             } else {
-                100.0 * outcome.dropped() as f64 / offered_total as f64
+                100.0 * t.dropped() as f64 / offered_total as f64
             },
         )
         .with(
@@ -217,16 +226,16 @@ fn row(spec: &FleetPointSpec, server: &ServerSpec, outcome: &FleetOutcome) -> Js
         .with(
             "faults",
             Json::object()
-                .with("struck", outcome.faults_struck)
-                .with("repaired", outcome.faults_repaired),
+                .with("struck", outcome.chip_faults.0)
+                .with("repaired", outcome.chip_faults.1),
         )
         .with(
             "totals",
             Json::object()
                 .with("offered", offered_total)
-                .with("served", outcome.served())
-                .with("dropped", outcome.dropped())
-                .with("inflight_end", outcome.inflight_end),
+                .with("served", t.served)
+                .with("dropped", t.dropped())
+                .with("inflight_end", t.inflight_end),
         )
         .with("curve", curve(outcome))
 }
@@ -372,10 +381,6 @@ mod tests {
 
 // ---------------------------------------------------------------------
 // Resilience points: one resilience run as a pure `sop-exec` job.
-
-use crate::domains::DomainTopology;
-use crate::resilience::{simulate_resilience, ResilienceOutcome, ResilienceParams, RetryPolicy};
-use crate::resilience::{SHED_INTERVAL_TICKS, SHED_TARGET_MS};
 
 /// One fully-specified resilience run: a fleet point plus domain
 /// topology, client behavior, shedder arming, and storm mode.

@@ -1,18 +1,42 @@
-//! The resilience layer: correlated failure domains, retrying/hedging
-//! clients, health-checked load balancing, and adaptive overload
-//! shedding — deterministically, on integer ticks.
+//! The fleet engine: integer fluid queues behind a load balancer,
+//! driven by a deterministic event schedule, with correlated failure
+//! domains, retrying/hedging clients, health-checked balancing, and
+//! adaptive overload shedding layered on — all on integer ticks.
 //!
-//! The base simulator ([`crate::sim`]) models open-loop demand against
-//! independent per-server faults: optimistic in exactly the regimes
-//! that matter, because real clients *retry*. A timeout turns one
-//! failed request into several, a correlated domain outage removes
-//! half the fleet at once, and the combination is the classic
-//! metastable retry storm: queues pin at the admission bound, every
-//! admitted request waits past its client's timeout, capacity is spent
-//! serving work nobody is waiting for, and goodput collapses far below
-//! the surviving capacity. This module reproduces that failure mode —
+//! [`simulate_resilience`] is the crate's only tick loop. Time advances
+//! in ticks of one simulated second; each tick applies the fault and
+//! repair events due (repairs before strikes), probes, dispatches the
+//! tick's arrival batch and due retries, and serves every queue.
+//!
+//! # Plain presets
+//!
+//! [`ResilienceParams::plain`] is the chapter-5 capacity model: open-
+//! loop demand against independent per-server chip faults. Flat
+//! topology, no client retries, shedder off, no storm, the 4 000 ms
+//! admission deadline of [`SimParams`], and [`Balance::Capacity`]: each
+//! batch splits across in-rotation servers in proportion to their
+//! current capacity with exact integer largest-prefix arithmetic, so
+//! allocations always sum to the batch. Each server admits up to its
+//! deadline-derived backlog bound (the excess is dropped), records each
+//! admitted request's latency (service time plus FIFO queueing delay at
+//! the current capacity), then serves up to its capacity. Per window,
+//! `offered + inflight_start = dropped + served + inflight_end`.
+//! [`Policy::Derate`] keeps a struck server in rotation at derated
+//! capacity; [`Policy::Drain`] removes it from rotation while it drains
+//! its backlog at the derated rate — the degrade-vs-drain postures of
+//! `sop_tco::derated_performance`.
+//!
+//! The plain model is optimistic in exactly the regimes that matter,
+//! because real clients *retry*. A timeout turns one failed request
+//! into several, a correlated domain outage removes half the fleet at
+//! once, and the combination is the classic metastable retry storm:
+//! queues pin at the admission bound, every admitted request waits
+//! past its client's timeout, capacity is spent serving work nobody is
+//! waiting for, and goodput collapses far below the surviving capacity.
+//! The resilience presets ([`ResilienceParams::standard`] /
+//! [`quick`](ResilienceParams::quick)) reproduce that failure mode —
 //! and the controls that bound it — as a pure deterministic function
-//! of its parameters.
+//! of their parameters.
 //!
 //! # The pieces
 //!
@@ -35,8 +59,9 @@
 //!   probes readmit it. Between death and ejection the balancer keeps
 //!   routing to the corpse — arrivals black-hole and their clients
 //!   time out, which is precisely the window health checking exists to
-//!   shrink. Balancer weights are *nominal*, not effective: the layer
-//!   has no oracle knowledge of true capacity.
+//!   shrink. The resilience presets balance on *nominal* weights
+//!   ([`Balance::Nominal`]): the balancer has no oracle knowledge of
+//!   true capacity.
 //! * **Shedder**: per-server CoDel-shaped admission control. When the
 //!   post-admission queue delay has exceeded [`SHED_TARGET_MS`] for
 //!   [`SHED_INTERVAL_TICKS`] consecutive ticks, the admission bound
@@ -65,9 +90,9 @@
 
 use std::collections::VecDeque;
 
-use sop_obs::{Histogram, Registry, SeriesSet, TimeSeries};
+use sop_obs::{Histogram, SeriesSet, TimeSeries};
 
-use crate::domains::{DomainFault, DomainFaultPlan, DomainLevel, DomainTopology};
+use crate::domains::{DomainFault, DomainFaultPlan, DomainLevel, DomainTopology, TOPOLOGIES};
 use crate::failure::FleetFaultPlan;
 use crate::sim::{record_latencies, severity_curve, Policy, SimParams};
 use crate::traffic::TrafficModel;
@@ -87,6 +112,20 @@ pub const SHED_INTERVAL_TICKS: u64 = 2;
 /// client timeout, so an unshedded overloaded queue admits work whose
 /// client will give up before service — the metastable mechanism.
 pub const RESILIENT_DEADLINE_MS: u64 = 8_000;
+
+/// How the balancer weighs routable servers when it splits a batch.
+/// Both splits use exact integer largest-prefix arithmetic, so the
+/// allocations always sum to the batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Balance {
+    /// In proportion to each server's current effective capacity: the
+    /// plain presets' oracle balancer. A batch with no routable capacity
+    /// left is unreachable.
+    Capacity,
+    /// Evenly: the resilience presets' balancer, which has no oracle
+    /// view of true capacity, so undetected corpses still draw traffic.
+    Nominal,
+}
 
 /// How a client reacts to slowness and failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -180,7 +219,7 @@ pub struct ResilienceParams {
     /// The underlying fleet (sizes, chip-fault process, traffic). Its
     /// `deadline_ms` is the admission bound when *not* shedding.
     pub base: SimParams,
-    /// Shared-infrastructure arrangement (`flat` = PR 7's model).
+    /// Shared-infrastructure arrangement (`flat` = independent faults).
     pub topology: DomainTopology,
     /// Client behavior.
     pub retry: RetryPolicy,
@@ -190,9 +229,25 @@ pub struct ResilienceParams {
     /// scripted PDU-0 total outage at `duration/4` lasting
     /// `duration/8` — the committed correlated-failure experiment.
     pub storm: bool,
+    /// How the balancer splits each batch.
+    pub balance: Balance,
 }
 
 impl ResilienceParams {
+    /// The plain presets over `base`: flat topology, no client retries,
+    /// shedder off, no storm, capacity-proportional balancing, and
+    /// `base`'s own admission deadline.
+    pub fn plain(base: SimParams) -> ResilienceParams {
+        ResilienceParams {
+            base,
+            topology: TOPOLOGIES[0],
+            retry: RETRY_POLICIES[0],
+            shed: false,
+            storm: false,
+            balance: Balance::Capacity,
+        }
+    }
+
     /// A full simulated day.
     pub fn standard(
         servers: u32,
@@ -212,6 +267,7 @@ impl ResilienceParams {
             retry,
             shed,
             storm: false,
+            balance: Balance::Nominal,
         }
     }
 
@@ -234,6 +290,7 @@ impl ResilienceParams {
             retry,
             shed,
             storm: false,
+            balance: Balance::Nominal,
         }
     }
 
@@ -314,7 +371,17 @@ pub struct Totals {
     pub pending_retries_end: u64,
 }
 
-/// Per-window accounting for the goodput-vs-offered curve.
+impl Totals {
+    /// Requests rejected at the deadline admission bound or dispatched
+    /// with nowhere to route: the plain presets' drops.
+    pub fn dropped(&self) -> u64 {
+        self.overflow + self.unreachable
+    }
+}
+
+/// Per-window accounting: the goodput-vs-offered curve and, under the
+/// plain presets, the exact tiling
+/// `offered + inflight_start == dropped + served + inflight_end`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceWindow {
     /// First tick of the window.
@@ -325,12 +392,36 @@ pub struct ResilienceWindow {
     pub offered: u64,
     /// Requests dispatched this window (fresh + retries + hedges).
     pub issued: u64,
+    /// Requests admitted to some server queue this window.
+    pub accepted: u64,
+    /// Requests overflowing the deadline bound or unreachable this
+    /// window (see [`Totals::dropped`]).
+    pub dropped: u64,
+    /// Requests served this window (useful + waste).
+    pub served: u64,
     /// Useful requests served this window.
     pub goodput: u64,
     /// Requests shed this window.
     pub shed: u64,
+    /// Fleet-wide backlog when the window opened.
+    pub inflight_start: u64,
+    /// Fleet-wide backlog when the window closed.
+    pub inflight_end: u64,
     /// Admission-time latencies (ms) of useful admissions this window.
     pub hist: Histogram,
+}
+
+/// Reads one counter out of a window.
+type WindowCounter = fn(&ResilienceWindow) -> u64;
+
+impl ResilienceWindow {
+    /// Offered load as a fraction of nominal capacity over the window.
+    pub fn utilization(&self, nominal_capacity: u64) -> f64 {
+        if nominal_capacity == 0 || self.ticks == 0 {
+            return 0.0;
+        }
+        self.offered as f64 / (nominal_capacity as f64 * self.ticks as f64)
+    }
 }
 
 /// What the scripted storm interval measured.
@@ -413,69 +504,49 @@ impl ResilienceOutcome {
         self.totals.goodput as f64 / self.params.base.duration_ticks as f64
     }
 
-    /// The run's telemetry under the `fleet.resilience.*` namespace.
-    pub fn metrics(&self) -> Registry {
-        let t = &self.totals;
-        let mut r = Registry::new();
-        r.counter_add("fleet.resilience.offered", t.offered);
-        r.counter_add("fleet.resilience.issued", t.issued);
-        r.counter_add("fleet.resilience.retries", t.retries);
-        r.counter_add("fleet.resilience.hedges", t.hedges);
-        r.counter_add("fleet.resilience.admitted", t.admitted);
-        r.counter_add("fleet.resilience.shed", t.shed);
-        r.counter_add("fleet.resilience.overflow", t.overflow);
-        r.counter_add("fleet.resilience.blackholed", t.blackholed);
-        r.counter_add("fleet.resilience.unreachable", t.unreachable);
-        r.counter_add("fleet.resilience.goodput", t.goodput);
-        r.counter_add("fleet.resilience.waste", t.waste_served);
-        r.counter_add("fleet.resilience.failed_inflight", t.failed_inflight);
-        r.counter_add("fleet.resilience.perm_failed", t.perm_failed);
-        r.counter_add("fleet.resilience.probes", t.probes);
-        r.counter_add("fleet.resilience.ejections", t.ejections);
-        r.counter_add("fleet.resilience.readmissions", t.readmissions);
-        r.counter_add("fleet.resilience.domain_faults", self.domain_faults.0);
-        r.gauge_set("fleet.resilience.availability", self.availability());
-        r.gauge_set(
-            "fleet.resilience.retry_amplification",
-            self.retry_amplification(),
-        );
-        r.gauge_set("fleet.resilience.shed_fraction", self.shed_fraction());
-        r.gauge_set(
-            "fleet.resilience.recovered",
-            if self.recovered { 1.0 } else { 0.0 },
-        );
-        r.gauge_set("fleet.resilience.ttr_ticks", self.ttr_ticks as f64);
-        r.histogram_merge("fleet.resilience.latency_ms", &self.latency)
-            .expect("fresh registry has no kind conflicts");
-        r
-    }
-
-    /// The run's per-window time series, built post-hoc from the
-    /// window accounting the simulator already collects — the tick
-    /// loop pays nothing when no SLO spec is armed (disarmed
-    /// discipline). All counters are exact integers; availability and
-    /// retry amplification are derived at render time as
-    /// `goodput/offered` and `issued/offered` so merging stays
+    /// The run's per-window time series under the resilience names,
+    /// built post-hoc from the window accounting the simulator already
+    /// collects — the tick loop pays nothing when no SLO spec is armed
+    /// (disarmed discipline). All counters are exact integers;
+    /// availability and retry amplification are derived at render time
+    /// as `goodput/offered` and `issued/offered` so merging stays
     /// associative.
     pub fn series(&self) -> SeriesSet {
+        self.window_series(&[
+            ("offered", |w| w.offered),
+            ("issued", |w| w.issued),
+            ("goodput", |w| w.goodput),
+            ("shed", |w| w.shed),
+        ])
+    }
+
+    /// The per-window series a plain run exports (`--series`):
+    /// offered, accepted, dropped, and served counters.
+    pub fn plain_series(&self) -> SeriesSet {
+        self.window_series(&[
+            ("offered", |w| w.offered),
+            ("accepted", |w| w.accepted),
+            ("dropped", |w| w.dropped),
+            ("served", |w| w.served),
+        ])
+    }
+
+    /// One counter series per `(name, field)` plus the `latency_ms`
+    /// digest series, bucketed by window.
+    fn window_series(&self, counters: &[(&str, WindowCounter)]) -> SeriesSet {
         let interval = self.params.base.window_ticks.max(1);
-        let mut offered = TimeSeries::counter(interval);
-        let mut issued = TimeSeries::counter(interval);
-        let mut goodput = TimeSeries::counter(interval);
-        let mut shed = TimeSeries::counter(interval);
+        let mut set = SeriesSet::new();
+        for &(name, field) in counters {
+            let mut series = TimeSeries::counter(interval);
+            for w in &self.windows {
+                series.record_count(w.start_tick, field(w));
+            }
+            set.insert(name, series);
+        }
         let mut latency = TimeSeries::digest(interval);
         for w in &self.windows {
-            offered.record_count(w.start_tick, w.offered);
-            issued.record_count(w.start_tick, w.issued);
-            goodput.record_count(w.start_tick, w.goodput);
-            shed.record_count(w.start_tick, w.shed);
             latency.record_digest(w.start_tick, &w.hist);
         }
-        let mut set = SeriesSet::new();
-        set.insert("offered", offered);
-        set.insert("issued", issued);
-        set.insert("goodput", goodput);
-        set.insert("shed", shed);
         set.insert("latency_ms", latency);
         set
     }
@@ -812,16 +883,21 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
     let mut totals = Totals::default();
     let mut latency = Histogram::new();
     let mut windows: Vec<ResilienceWindow> = Vec::new();
-    let new_window = |start: u64| ResilienceWindow {
+    let new_window = |start: u64, inflight: u64| ResilienceWindow {
         start_tick: start,
         ticks: 0,
         offered: 0,
         issued: 0,
+        accepted: 0,
+        dropped: 0,
+        served: 0,
         goodput: 0,
         shed: 0,
+        inflight_start: inflight,
+        inflight_end: inflight,
         hist: Histogram::new(),
     };
-    let mut win = new_window(0);
+    let mut win = new_window(0, 0);
     let mut chip_struck = 0u64;
     let mut chip_repaired = 0u64;
     let mut dom_struck = 0u64;
@@ -838,7 +914,11 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
         goodput: 0,
         capacity: 0,
     });
+    // Routable servers and their summed effective capacity, rebuilt only
+    // when a fault event or the health checker changes them.
     let mut routable: Vec<u32> = Vec::with_capacity(n);
+    let mut routable_cap = 0u64;
+    let mut routable_dirty = true;
     let mut events_seen = 0u64;
     let mut ev_i = 0usize;
 
@@ -849,6 +929,7 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
         while ev_i < events.len() && events[ev_i].0 == tick {
             let (_, kind) = events[ev_i];
             ev_i += 1;
+            routable_dirty = true;
             match kind {
                 REventKind::ChipStrike { server, frac } => {
                     chip_struck += 1;
@@ -905,12 +986,14 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
             }
         }
 
-        // 2. Health probes, staggered by server index. A probe checks
-        // reachability (effective capacity > 0).
-        for (i, s) in servers.iter_mut().enumerate() {
-            if tick % PROBE_INTERVAL_TICKS != i as u64 % PROBE_INTERVAL_TICKS {
-                continue;
-            }
+        // 2. Health probes, staggered by server index: this tick probes
+        // the servers whose index matches it modulo the interval. A
+        // probe checks reachability (effective capacity > 0).
+        for s in servers
+            .iter_mut()
+            .skip((tick % PROBE_INTERVAL_TICKS) as usize)
+            .step_by(PROBE_INTERVAL_TICKS as usize)
+        {
             totals.probes += 1;
             if s.eff_cap > 0 {
                 s.probe_oks += 1;
@@ -918,6 +1001,7 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
                 if s.ejected && s.probe_oks >= PROBE_OK_THRESHOLD {
                     s.ejected = false;
                     totals.readmissions += 1;
+                    routable_dirty = true;
                 }
             } else {
                 s.probe_fails += 1;
@@ -925,38 +1009,50 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
                 if !s.ejected && s.probe_fails >= PROBE_FAIL_THRESHOLD {
                     s.ejected = true;
                     totals.ejections += 1;
+                    routable_dirty = true;
                 }
             }
         }
 
         // 3. The hedge target's expected wait: the emptiest reachable
-        // server as observed at tick start. (Shedding state was set at
-        // the previous tick's close — see step 7.)
+        // server as observed at tick start, when clients hedge at all.
+        // (Shedding state was set at the previous tick's close — see
+        // step 7.)
         let mut hedge_wait: Option<(u64, u32)> = None; // (delay_ms, server)
-        for (i, s) in servers.iter().enumerate() {
-            if s.eff_cap > 0 && s.in_rotation && !s.ejected {
-                let delay = s.backlog * 1000 / s.eff_cap;
-                if hedge_wait.is_none_or(|(d, _)| delay < d) {
-                    hedge_wait = Some((delay, i as u32));
+        if retry.hedge_ms.is_some() {
+            for (i, s) in servers.iter().enumerate() {
+                if s.eff_cap > 0 && s.in_rotation && !s.ejected {
+                    let delay = s.backlog * 1000 / s.eff_cap;
+                    if hedge_wait.is_none_or(|(d, _)| delay < d) {
+                        hedge_wait = Some((delay, i as u32));
+                    }
                 }
             }
         }
 
         // 4. Routable set: in rotation (operator policy) and not
-        // ejected (health checker). Weights are nominal — the balancer
-        // has no oracle view of true capacity, so undetected corpses
-        // still draw traffic.
-        routable.clear();
-        for (i, s) in servers.iter().enumerate() {
-            if s.in_rotation && !s.ejected {
-                routable.push(i as u32);
+        // ejected (health checker).
+        if routable_dirty {
+            routable.clear();
+            routable_cap = 0;
+            for (i, s) in servers.iter().enumerate() {
+                if s.in_rotation && !s.ejected {
+                    routable.push(i as u32);
+                    routable_cap += s.eff_cap;
+                }
             }
+            routable_dirty = false;
         }
+        let nowhere = match params.balance {
+            Balance::Capacity => routable_cap == 0,
+            Balance::Nominal => routable.is_empty(),
+        };
 
         // 5. Dispatch fresh demand (attempt 1) then due retries, in
-        // attempt order. Each batch splits evenly across routable
-        // servers with exact largest-prefix arithmetic and admits
-        // immediately, so later batches see earlier batches' backlog.
+        // attempt order. Each batch splits across routable servers by
+        // the balancing rule with exact largest-prefix arithmetic and
+        // admits immediately, so later batches see earlier batches'
+        // backlog.
         let fresh = traffic.rate_at(tick);
         totals.offered += fresh;
         win.offered += fresh;
@@ -973,10 +1069,7 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
         let hedge_clamp = retry
             .hedge_ms
             .and_then(|h| hedge_wait.map(|(d, _)| h + d + p.service_ms));
-        let mut batches: Vec<(u32, u64)> = Vec::with_capacity(1 + due.len());
-        batches.push((1, fresh));
-        batches.extend(due.iter().copied());
-        for &(attempt, count) in &batches {
+        for (attempt, count) in std::iter::once((1, fresh)).chain(due.iter().copied()) {
             if count == 0 {
                 continue;
             }
@@ -986,8 +1079,9 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
             if attempt > 1 {
                 totals.retries += count;
             }
-            if routable.is_empty() {
+            if nowhere {
                 totals.unreachable += count;
+                win.dropped += count;
                 totals.perm_failed += ring.schedule(
                     &retry,
                     attempt,
@@ -998,10 +1092,19 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
                 continue;
             }
             let m = routable.len() as u64;
+            let mut cum_cap = 0u64;
             let mut prev = 0u64;
             for (pos, &si) in routable.iter().enumerate() {
-                let alloc = count * (pos as u64 + 1) / m - prev;
-                prev += alloc;
+                let upto = match params.balance {
+                    Balance::Capacity => {
+                        cum_cap += servers[si as usize].eff_cap;
+                        ((u128::from(count) * u128::from(cum_cap)) / u128::from(routable_cap))
+                            as u64
+                    }
+                    Balance::Nominal => count * (pos as u64 + 1) / m,
+                };
+                let alloc = upto - prev;
+                prev = upto;
                 if alloc == 0 {
                     continue;
                 }
@@ -1035,6 +1138,7 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
                         win.shed += rejected;
                     } else {
                         totals.overflow += rejected;
+                        win.dropped += rejected;
                     }
                     // Fast rejection: the client learns immediately and
                     // retries after backoff alone.
@@ -1050,6 +1154,7 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
                     continue;
                 }
                 totals.admitted += accept;
+                win.accepted += accept;
                 // Classify by exact FIFO wait: positions whose wait
                 // beats the client timeout are useful; the rest are
                 // admitted corpses (their clients give up first).
@@ -1132,6 +1237,7 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
                     let max_backlog = s.eff_cap * bound / 1000;
                     let accept = hedges_wanted.min(max_backlog.saturating_sub(s.backlog));
                     totals.admitted += accept;
+                    win.accepted += accept;
                     totals.hedge_dropped += hedges_wanted - accept;
                     s.enqueue(false, accept);
                     waste_queued += accept;
@@ -1146,7 +1252,8 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
         // disengage only once it falls below half the target, which a
         // shed bound being filled to exactly the target can never do,
         // so overload cannot flap the shedder open for an
-        // 8-second-deep gulp of doomed admissions. Then serve.
+        // 8-second-deep gulp of doomed admissions. A disarmed shedder
+        // never engages, so its state is left untouched. Then serve.
         let mut tick_goodput = 0u64;
         let mut tick_capacity = 0u64;
         for s in servers.iter_mut() {
@@ -1156,20 +1263,22 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
                 s.shedding = false;
                 continue;
             }
-            if s.shedding {
-                totals.shed_server_ticks += 1;
-            }
-            let delay = s.backlog * 1000 / s.eff_cap;
-            if !s.shedding {
-                if delay > SHED_TARGET_MS {
-                    s.over_ticks += 1;
-                } else {
+            if params.shed {
+                if s.shedding {
+                    totals.shed_server_ticks += 1;
+                }
+                let delay = s.backlog * 1000 / s.eff_cap;
+                if !s.shedding {
+                    if delay > SHED_TARGET_MS {
+                        s.over_ticks += 1;
+                    } else {
+                        s.over_ticks = 0;
+                    }
+                    s.shedding = s.over_ticks >= SHED_INTERVAL_TICKS;
+                } else if delay < SHED_TARGET_MS / 2 {
+                    s.shedding = false;
                     s.over_ticks = 0;
                 }
-                s.shedding = params.shed && s.over_ticks >= SHED_INTERVAL_TICKS;
-            } else if delay < SHED_TARGET_MS / 2 {
-                s.shedding = false;
-                s.over_ticks = 0;
             }
             if s.backlog == 0 {
                 continue;
@@ -1180,6 +1289,7 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
             totals.goodput += good;
             totals.waste_served += waste;
             totals.served += good + waste;
+            win.served += good + waste;
             waste_queued -= waste;
         }
         win.goodput += tick_goodput;
@@ -1206,10 +1316,11 @@ pub fn simulate_resilience(params: &ResilienceParams) -> ResilienceOutcome {
         // 9. Window close.
         win.ticks += 1;
         if win.ticks == p.window_ticks || tick + 1 == p.duration_ticks {
+            win.inflight_end = servers.iter().map(|s| s.backlog).sum();
             latency.merge(&win.hist);
-            let next = tick + 1;
+            let (next, inflight) = (tick + 1, win.inflight_end);
             windows.push(win);
-            win = new_window(next);
+            win = new_window(next, inflight);
         }
     }
 
@@ -1261,6 +1372,7 @@ mod tests {
             retry: retry(policy),
             shed,
             storm: false,
+            balance: Balance::Nominal,
         }
     }
 
@@ -1476,18 +1588,171 @@ mod tests {
         );
     }
 
+    // The plain presets: open-loop demand, capacity balancing, chip
+    // faults only.
+
+    fn tiny_plain(policy: Policy, seed: u64) -> SimParams {
+        SimParams {
+            duration_ticks: 1_800,
+            window_ticks: 150,
+            mtbf_ticks: 600,
+            mttr_ticks: 120,
+            ..SimParams::standard(8, 5_000, policy, seed)
+        }
+    }
+
+    fn plain(base: SimParams) -> ResilienceOutcome {
+        simulate_resilience(&ResilienceParams::plain(base))
+    }
+
     #[test]
-    fn metrics_namespace_and_values_are_consistent() {
-        let out = simulate_resilience(&storm64("naive", true));
-        let m = out.metrics();
-        assert_eq!(m.counter("fleet.resilience.offered"), out.totals.offered);
-        assert_eq!(m.counter("fleet.resilience.issued"), out.totals.issued);
-        assert_eq!(m.counter("fleet.resilience.shed"), out.totals.shed);
-        assert_eq!(
-            m.histogram("fleet.resilience.latency_ms")
-                .map(|h| h.count()),
-            Some(out.latency.count())
+    fn plain_windows_tile_offered_load_exactly() {
+        for policy in Policy::ALL {
+            let out = plain(tiny_plain(policy, 42));
+            for w in &out.windows {
+                assert_eq!(
+                    w.offered,
+                    w.dropped + w.served + w.inflight_end - w.inflight_start,
+                    "window at {} violates tiling under {:?}",
+                    w.start_tick,
+                    policy
+                );
+                assert_eq!(w.offered, w.accepted + w.dropped);
+                assert_eq!(w.hist.count(), w.accepted, "one latency per admission");
+            }
+            let t = &out.totals;
+            assert_eq!(t.offered, t.dropped() + t.served + t.inflight_end);
+        }
+    }
+
+    #[test]
+    fn plain_same_seed_bitwise_identical_different_seed_not() {
+        let a = plain(tiny_plain(Policy::Derate, 7));
+        let b = plain(tiny_plain(Policy::Derate, 7));
+        let c = plain(tiny_plain(Policy::Derate, 8));
+        assert_eq!(a, b);
+        assert_ne!(a.totals.offered, c.totals.offered);
+    }
+
+    #[test]
+    fn plain_policies_change_behavior_under_faults() {
+        let drain = plain(tiny_plain(Policy::Drain, 42));
+        let derate = plain(tiny_plain(Policy::Derate, 42));
+        assert!(drain.chip_faults.0 > 0, "test params must produce faults");
+        assert_eq!(drain.chip_faults.0, derate.chip_faults.0);
+        // The same faults strike, but the fleets handle them differently.
+        assert_ne!(
+            drain.windows, derate.windows,
+            "drain and derate should diverge once a fault strikes"
         );
-        assert!(m.gauge("fleet.resilience.retry_amplification") >= Some(1.0));
+    }
+
+    #[test]
+    fn plain_latencies_respect_service_floor_and_deadline_ceiling() {
+        let p = tiny_plain(Policy::Derate, 3);
+        let out = plain(p);
+        assert!(out.latency.count() > 0);
+        // Admission bounds the queue so no admitted request waits past
+        // the deadline; max is exact (see record_latencies).
+        assert!(
+            out.latency.max() <= p.deadline_ms + p.service_ms,
+            "max {}",
+            out.latency.max()
+        );
+        // Quantile upper estimates can't be below the service floor.
+        assert!(out.latency.p50().expect("non-empty") >= p.service_ms);
+    }
+
+    #[test]
+    fn plain_unfaulted_underloaded_fleet_serves_everything_quickly() {
+        // MTBF far beyond the horizon: no faults, modest load.
+        let p = SimParams {
+            duration_ticks: 600,
+            window_ticks: 100,
+            mtbf_ticks: 1_000_000,
+            mttr_ticks: 600,
+            peak_util: 0.5,
+            ..SimParams::standard(4, 10_000, Policy::Drain, 5)
+        };
+        let out = plain(p);
+        assert_eq!(out.chip_faults.0, 0);
+        assert_eq!(out.totals.dropped(), 0, "0.5 peak util must not drop");
+        // Per-server per-tick arrivals stay below capacity, so nothing
+        // queues across ticks and waits stay under one tick.
+        assert!(out.latency.max() < p.service_ms + 1000);
+    }
+
+    #[test]
+    fn plain_drain_sheds_rotation_but_still_drains_backlog() {
+        let out = plain(SimParams {
+            peak_util: 0.95,
+            ..tiny_plain(Policy::Drain, 42)
+        });
+        // Served totals must stay consistent with tiling even as servers
+        // leave and re-enter rotation.
+        let t = &out.totals;
+        assert_eq!(t.offered, t.dropped() + t.served + t.inflight_end);
+        assert!(out.chip_faults.1 <= out.chip_faults.0);
+    }
+
+    #[test]
+    fn plain_window_utilization_is_bounded() {
+        let p = tiny_plain(Policy::Derate, 9);
+        let out = plain(p);
+        for w in &out.windows {
+            let u = w.utilization(p.nominal_capacity());
+            assert!((0.0..2.0).contains(&u), "utilization {u}");
+        }
+    }
+
+    #[test]
+    fn plain_series_totals_match_run_totals() {
+        let outcome = plain(SimParams::quick(16, 2_000, Policy::Derate, 7));
+        let set = outcome.plain_series();
+        let t = &outcome.totals;
+        assert_eq!(set.get("offered").unwrap().total(), t.offered);
+        assert_eq!(set.get("served").unwrap().total(), t.served);
+        assert_eq!(set.get("dropped").unwrap().total(), t.dropped());
+        assert_eq!(set.get("accepted").unwrap().total(), t.admitted);
+        assert_eq!(
+            set.get("latency_ms").unwrap().total(),
+            outcome.latency.count()
+        );
+        assert_eq!(
+            set.get("offered").unwrap().len(),
+            outcome.windows.len(),
+            "one bucket per window"
+        );
+    }
+
+    #[test]
+    fn capacity_balancing_with_no_routable_capacity_is_unreachable() {
+        // Sixteen servers under the rack topology share one PDU, so the
+        // scripted storm takes out the whole fleet. Until the health
+        // checker ejects them the corpses stay routable with zero
+        // capacity; the capacity split must count those batches
+        // unreachable rather than divide by zero.
+        let mut params = ResilienceParams::plain(SimParams::quick(16, 5_000, Policy::Derate, 42));
+        params.topology = topo("rack");
+        let params = params.storm();
+        let out = simulate_resilience(&params);
+        let t = &out.totals;
+        let st = out.storm.expect("storm mode records the interval");
+        assert_eq!(st.capacity, 0, "the outage covers the whole fleet");
+        assert!(
+            t.unreachable >= st.offered,
+            "every outage batch is unreachable: {} < {}",
+            t.unreachable,
+            st.offered
+        );
+        assert_eq!(t.blackholed, 0, "the capacity split never feeds a corpse");
+        assert_eq!(t.issued, t.admitted + t.overflow + t.unreachable);
+        // The even split, by contrast, black-holes batches into the
+        // routable corpses until they are ejected.
+        let nominal = simulate_resilience(&ResilienceParams {
+            balance: Balance::Nominal,
+            ..params
+        });
+        assert!(nominal.totals.blackholed > 0);
     }
 }

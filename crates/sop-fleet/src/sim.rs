@@ -1,43 +1,12 @@
-//! The fleet simulator: integer fluid queues behind an exact-split
-//! load balancer, driven by a deterministic event schedule.
-//!
-//! # Event model
-//!
-//! Time advances in ticks of one simulated second. The run interleaves
-//! two deterministic event streams:
-//!
-//! * **Fault events** from the seeded [`FleetFaultPlan`] — a `Strike`
-//!   derates a server's capacity through the `sop-tco` degradation
-//!   curve and applies the operator [`Policy`]; the matching `Repair`
-//!   restores full health. Events due at a tick apply before that
-//!   tick's arrivals (repairs before strikes, then by server index).
-//! * **Arrival events** from the seeded [`TrafficModel`] — one batch
-//!   per tick, split across in-rotation servers proportionally to
-//!   their current capacity with exact integer largest-prefix
-//!   arithmetic (allocations always sum to the batch).
-//!
-//! Each server is an integer fluid queue: per tick it admits arrivals
-//! up to a deadline-derived backlog bound (excess is dropped — open-
-//! loop demand does not retry), records each admitted request's
-//! latency (service time plus FIFO queueing delay at the current
-//! capacity) into the window histogram, then serves up to `capacity`
-//! requests. Accounting is exact by construction: per window,
-//! `offered = dropped + served + (inflight_end - inflight_start)`.
-//!
-//! # Policy hooks
-//!
-//! [`Policy::Derate`] keeps a struck server in rotation at derated
-//! capacity — latency rises fleet-wide but capacity is not abandoned.
-//! [`Policy::Drain`] removes it from rotation (arrival weight zero)
-//! while it drains its backlog at the derated rate, shifting load onto
-//! the healthy fleet until repair. These mirror the degrade-vs-drain
-//! repair postures of `sop_tco::derated_performance`.
+//! Fleet run parameters and the pieces the tick loop shares: the
+//! operator [`Policy`] for damaged servers, the [`SimParams`] that
+//! size a run, the fault-severity degradation curve, and exact FIFO
+//! latency recording. The tick loop itself is
+//! [`crate::resilience::simulate_resilience`]; a plain fleet run is that
+//! loop under [`ResilienceParams::plain`](crate::ResilienceParams::plain).
 
-use sop_obs::{Histogram, Registry, SeriesSet, TimeSeries};
+use sop_obs::Histogram;
 use sop_tco::DegradationCurve;
-
-use crate::failure::FleetFaultPlan;
-use crate::traffic::TrafficModel;
 
 /// What a damaged server does until repair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,8 +35,9 @@ impl Policy {
     }
 }
 
-/// Everything that determines a fleet run. Two equal `SimParams` yield
-/// bit-identical [`FleetOutcome`]s on any host.
+/// The fleet a run simulates: sizes, chip-fault process, traffic, and
+/// admission. Together with the engine presets
+/// ([`ResilienceParams`](crate::ResilienceParams)) it determines a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimParams {
     /// Fleet size.
@@ -146,150 +116,6 @@ pub fn severity_curve() -> DegradationCurve {
     ])
 }
 
-/// Per-window accounting. The tiling invariant holds exactly:
-/// `offered == dropped + served + (inflight_end - inflight_start)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowStats {
-    /// First tick of the window.
-    pub start_tick: u64,
-    /// Window length in ticks (the last window may be short).
-    pub ticks: u64,
-    /// Requests the traffic process offered.
-    pub offered: u64,
-    /// Requests admitted to some server queue.
-    pub accepted: u64,
-    /// Requests rejected at admission (would miss the deadline).
-    pub dropped: u64,
-    /// Requests completed.
-    pub served: u64,
-    /// Fleet-wide backlog when the window opened.
-    pub inflight_start: u64,
-    /// Fleet-wide backlog when the window closed.
-    pub inflight_end: u64,
-    /// Latencies (ms) of requests admitted in this window.
-    pub hist: Histogram,
-}
-
-impl WindowStats {
-    /// Offered load as a fraction of nominal capacity over the window.
-    pub fn utilization(&self, nominal_capacity: u64) -> f64 {
-        if nominal_capacity == 0 || self.ticks == 0 {
-            return 0.0;
-        }
-        self.offered as f64 / (nominal_capacity as f64 * self.ticks as f64)
-    }
-}
-
-/// Everything a fleet run produces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetOutcome {
-    /// The parameters that produced this outcome.
-    pub params: SimParams,
-    /// Per-window accounting, in time order.
-    pub windows: Vec<WindowStats>,
-    /// All admitted-request latencies (ms) across the run.
-    pub latency: Histogram,
-    /// Faults that struck during the run.
-    pub faults_struck: u64,
-    /// Repairs that completed during the run.
-    pub faults_repaired: u64,
-    /// Fleet-wide backlog at end of run.
-    pub inflight_end: u64,
-}
-
-impl FleetOutcome {
-    /// Run-total offered requests.
-    pub fn offered(&self) -> u64 {
-        self.windows.iter().map(|w| w.offered).sum()
-    }
-
-    /// Run-total served requests.
-    pub fn served(&self) -> u64 {
-        self.windows.iter().map(|w| w.served).sum()
-    }
-
-    /// Run-total dropped requests.
-    pub fn dropped(&self) -> u64 {
-        self.windows.iter().map(|w| w.dropped).sum()
-    }
-
-    /// Served requests per tick, the denominator of cost-per-QPS.
-    pub fn sustained_qps(&self) -> f64 {
-        if self.params.duration_ticks == 0 {
-            return 0.0;
-        }
-        self.served() as f64 / self.params.duration_ticks as f64
-    }
-
-    /// The run's telemetry under the `fleet.*` namespace.
-    pub fn metrics(&self) -> Registry {
-        let mut r = Registry::new();
-        r.counter_add("fleet.ticks", self.params.duration_ticks);
-        r.counter_add("fleet.windows", self.windows.len() as u64);
-        r.counter_add("fleet.requests.offered", self.offered());
-        r.counter_add("fleet.requests.served", self.served());
-        r.counter_add("fleet.requests.dropped", self.dropped());
-        r.counter_add("fleet.faults.struck", self.faults_struck);
-        r.counter_add("fleet.faults.repaired", self.faults_repaired);
-        r.gauge_set("fleet.servers", f64::from(self.params.servers));
-        r.gauge_set("fleet.capacity.qps", self.params.nominal_capacity() as f64);
-        r.gauge_set("fleet.inflight.end", self.inflight_end as f64);
-        r.histogram_merge("fleet.latency_ms", &self.latency)
-            .expect("fresh registry has no kind conflicts");
-        r
-    }
-
-    /// The run's per-window time series, built post-hoc from the
-    /// window accounting the simulator already collects — the hot loop
-    /// pays nothing when no one asks (disarmed discipline). Counters
-    /// are exact integers; `latency_ms` is a digest series, so merging
-    /// and downsampling stay associative.
-    pub fn series(&self) -> SeriesSet {
-        let interval = self.params.window_ticks.max(1);
-        let mut offered = TimeSeries::counter(interval);
-        let mut accepted = TimeSeries::counter(interval);
-        let mut dropped = TimeSeries::counter(interval);
-        let mut served = TimeSeries::counter(interval);
-        let mut latency = TimeSeries::digest(interval);
-        for w in &self.windows {
-            offered.record_count(w.start_tick, w.offered);
-            accepted.record_count(w.start_tick, w.accepted);
-            dropped.record_count(w.start_tick, w.dropped);
-            served.record_count(w.start_tick, w.served);
-            latency.record_digest(w.start_tick, &w.hist);
-        }
-        let mut set = SeriesSet::new();
-        set.insert("offered", offered);
-        set.insert("accepted", accepted);
-        set.insert("dropped", dropped);
-        set.insert("served", served);
-        set.insert("latency_ms", latency);
-        set
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FaultEventKind {
-    // Repairs apply before strikes due the same tick, so the variant
-    // order is the event order.
-    Repair,
-    Strike,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FaultEvent {
-    tick: u64,
-    kind: FaultEventKind,
-    server: u32,
-    derated_capacity: u64,
-}
-
-struct ServerState {
-    capacity: u64,
-    in_rotation: bool,
-    backlog: u64,
-}
-
 /// Records the latencies of `accepted` FIFO requests admitted behind a
 /// backlog of `backlog` at per-tick capacity `cap`: request `j` waits
 /// `(backlog + j) * 1000 / cap` ms behind the queue, plus the base
@@ -335,316 +161,9 @@ pub(crate) fn record_latencies(
     }
 }
 
-/// Runs one fleet simulation to completion. Pure and deterministic:
-/// equal `params` give bit-identical outcomes.
-pub fn simulate(params: &SimParams) -> FleetOutcome {
-    assert!(params.servers > 0, "cannot simulate an empty fleet");
-    assert!(params.per_server_qps > 0, "servers need capacity");
-    assert!(params.duration_ticks > 0, "cannot simulate zero ticks");
-    assert!(params.window_ticks > 0, "windows need at least one tick");
-
-    let curve = severity_curve();
-    let plan = FleetFaultPlan::seeded(
-        params.seed,
-        params.servers,
-        params.duration_ticks,
-        params.mtbf_ticks,
-        params.mttr_ticks,
-    );
-    let mut events: Vec<FaultEvent> = Vec::with_capacity(plan.len() * 2);
-    for f in plan.faults() {
-        let derated = ((params.per_server_qps as f64
-            * curve.relative_performance(f.failed_fraction))
-        .round() as u64)
-            .max(1);
-        events.push(FaultEvent {
-            tick: f.tick,
-            kind: FaultEventKind::Strike,
-            server: f.server,
-            derated_capacity: derated,
-        });
-        let repair_at = f.tick + f.repair_ticks;
-        if repair_at < params.duration_ticks {
-            events.push(FaultEvent {
-                tick: repair_at,
-                kind: FaultEventKind::Repair,
-                server: f.server,
-                derated_capacity: params.per_server_qps,
-            });
-        }
-    }
-    events.sort_by_key(|e| (e.tick, e.kind as u8, e.server));
-
-    let mut traffic = TrafficModel::new(
-        params.seed,
-        params.nominal_capacity() as f64 * params.peak_util,
-        params.duration_ticks,
-    );
-
-    let n = params.servers as usize;
-    let mut servers: Vec<ServerState> = (0..n)
-        .map(|_| ServerState {
-            capacity: params.per_server_qps,
-            in_rotation: true,
-            backlog: 0,
-        })
-        .collect();
-    // In-rotation server indices, kept sorted; rebuilt only on fault
-    // events, which are rare relative to ticks.
-    let mut active: Vec<u32> = (0..params.servers).collect();
-    let mut active_capacity: u64 = params.nominal_capacity();
-    let rebuild_active = |servers: &[ServerState], active: &mut Vec<u32>, cap: &mut u64| {
-        active.clear();
-        *cap = 0;
-        for (i, s) in servers.iter().enumerate() {
-            if s.in_rotation {
-                active.push(i as u32);
-                *cap += s.capacity;
-            }
-        }
-    };
-
-    let mut arrivals: Vec<u64> = vec![0; n];
-    let mut windows: Vec<WindowStats> = Vec::new();
-    let mut win = WindowStats {
-        start_tick: 0,
-        ticks: 0,
-        offered: 0,
-        accepted: 0,
-        dropped: 0,
-        served: 0,
-        inflight_start: 0,
-        inflight_end: 0,
-        hist: Histogram::new(),
-    };
-    let mut latency = Histogram::new();
-    let mut faults_struck = 0u64;
-    let mut faults_repaired = 0u64;
-    let mut events_seen = 0u64;
-    let mut ev_i = 0usize;
-
-    for tick in 0..params.duration_ticks {
-        // 1. Fault/repair events due now.
-        let mut topology_changed = false;
-        while ev_i < events.len() && events[ev_i].tick == tick {
-            let ev = events[ev_i];
-            ev_i += 1;
-            let s = &mut servers[ev.server as usize];
-            s.capacity = ev.derated_capacity;
-            match ev.kind {
-                FaultEventKind::Strike => {
-                    faults_struck += 1;
-                    s.in_rotation = params.policy == Policy::Derate;
-                }
-                FaultEventKind::Repair => {
-                    faults_repaired += 1;
-                    s.in_rotation = true;
-                }
-            }
-            topology_changed = true;
-        }
-        if topology_changed {
-            rebuild_active(&servers, &mut active, &mut active_capacity);
-        }
-
-        // 2. This tick's offered arrivals, split by capacity with exact
-        // integer largest-prefix arithmetic (allocations sum to the
-        // batch by telescoping).
-        let offered = traffic.rate_at(tick);
-        win.offered += offered;
-        if active_capacity == 0 {
-            // Whole fleet drained: open-loop demand has nowhere to go.
-            win.dropped += offered;
-        } else {
-            let mut cum = 0u64;
-            let mut prev_alloc = 0u64;
-            for &i in &active {
-                cum += servers[i as usize].capacity;
-                let alloc_here =
-                    ((offered as u128 * cum as u128) / active_capacity as u128) as u64 - prev_alloc;
-                prev_alloc += alloc_here;
-                arrivals[i as usize] = alloc_here;
-            }
-        }
-
-        // 3. Step every server that has work: admit, record, serve.
-        for (i, s) in servers.iter_mut().enumerate() {
-            let arr = std::mem::take(&mut arrivals[i]);
-            if arr == 0 && s.backlog == 0 {
-                continue;
-            }
-            events_seen += 1;
-            let cap = s.capacity;
-            let max_backlog = cap * params.deadline_ms / 1000;
-            let accept = arr.min(max_backlog.saturating_sub(s.backlog));
-            win.dropped += arr - accept;
-            win.accepted += accept;
-            record_latencies(&mut win.hist, s.backlog, accept, cap, params.service_ms);
-            s.backlog += accept;
-            let served = s.backlog.min(cap);
-            s.backlog -= served;
-            win.served += served;
-        }
-
-        // 4. Window close.
-        win.ticks += 1;
-        if win.ticks == params.window_ticks || tick + 1 == params.duration_ticks {
-            win.inflight_end = servers.iter().map(|s| s.backlog).sum();
-            latency.merge(&win.hist);
-            let inflight = win.inflight_end;
-            let next_start = tick + 1;
-            windows.push(win);
-            win = WindowStats {
-                start_tick: next_start,
-                ticks: 0,
-                offered: 0,
-                accepted: 0,
-                dropped: 0,
-                served: 0,
-                inflight_start: inflight,
-                inflight_end: inflight,
-                hist: Histogram::new(),
-            };
-        }
-    }
-
-    let inflight_end = windows.last().map_or(0, |w| w.inflight_end);
-    crate::flush_run_counters(params.duration_ticks, events_seen);
-    FleetOutcome {
-        params: *params,
-        windows,
-        latency,
-        faults_struck,
-        faults_repaired,
-        inflight_end,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny(policy: Policy, seed: u64) -> SimParams {
-        SimParams {
-            duration_ticks: 1_800,
-            window_ticks: 150,
-            mtbf_ticks: 600,
-            mttr_ticks: 120,
-            ..SimParams::standard(8, 5_000, policy, seed)
-        }
-    }
-
-    #[test]
-    fn windows_tile_offered_load_exactly() {
-        for policy in Policy::ALL {
-            let out = simulate(&tiny(policy, 42));
-            for w in &out.windows {
-                assert_eq!(
-                    w.offered,
-                    w.dropped + w.served + w.inflight_end - w.inflight_start,
-                    "window at {} violates tiling under {:?}",
-                    w.start_tick,
-                    policy
-                );
-                assert_eq!(w.offered, w.accepted + w.dropped);
-                assert_eq!(w.hist.count(), w.accepted, "one latency per admission");
-            }
-            assert_eq!(
-                out.offered(),
-                out.dropped() + out.served() + out.inflight_end
-            );
-        }
-    }
-
-    #[test]
-    fn same_seed_bitwise_identical_different_seed_not() {
-        let a = simulate(&tiny(Policy::Derate, 7));
-        let b = simulate(&tiny(Policy::Derate, 7));
-        let c = simulate(&tiny(Policy::Derate, 8));
-        assert_eq!(a, b);
-        assert_ne!(a.offered(), c.offered());
-    }
-
-    #[test]
-    fn policies_change_behavior_under_faults() {
-        let drain = simulate(&tiny(Policy::Drain, 42));
-        let derate = simulate(&tiny(Policy::Derate, 42));
-        assert!(drain.faults_struck > 0, "test params must produce faults");
-        assert_eq!(drain.faults_struck, derate.faults_struck);
-        // The same faults strike, but the fleets handle them differently.
-        assert_ne!(
-            drain.windows, derate.windows,
-            "drain and derate should diverge once a fault strikes"
-        );
-    }
-
-    #[test]
-    fn latencies_respect_service_floor_and_deadline_ceiling() {
-        let p = tiny(Policy::Derate, 3);
-        let out = simulate(&p);
-        assert!(out.latency.count() > 0);
-        // Admission bounds the queue so no admitted request waits past
-        // the deadline; max is exact (see record_latencies).
-        assert!(
-            out.latency.max() <= p.deadline_ms + p.service_ms,
-            "max {}",
-            out.latency.max()
-        );
-        // Quantile upper estimates can't be below the service floor.
-        assert!(out.latency.p50().expect("non-empty") >= p.service_ms);
-    }
-
-    #[test]
-    fn unfaulted_underloaded_fleet_serves_everything_quickly() {
-        // MTBF far beyond the horizon: no faults, modest load.
-        let p = SimParams {
-            duration_ticks: 600,
-            window_ticks: 100,
-            mtbf_ticks: 1_000_000,
-            mttr_ticks: 600,
-            peak_util: 0.5,
-            ..SimParams::standard(4, 10_000, Policy::Drain, 5)
-        };
-        let out = simulate(&p);
-        assert_eq!(out.faults_struck, 0);
-        assert_eq!(out.dropped(), 0, "0.5 peak util must not drop");
-        // Per-server per-tick arrivals stay below capacity, so nothing
-        // queues across ticks and waits stay under one tick.
-        assert!(out.latency.max() < p.service_ms + 1000);
-    }
-
-    #[test]
-    fn drain_sheds_rotation_but_still_drains_backlog() {
-        let p = SimParams {
-            peak_util: 0.95,
-            ..tiny(Policy::Drain, 42)
-        };
-        let out = simulate(&p);
-        // Served totals must stay consistent with tiling even as servers
-        // leave and re-enter rotation.
-        assert_eq!(
-            out.offered(),
-            out.dropped() + out.served() + out.inflight_end
-        );
-        assert!(out.faults_repaired <= out.faults_struck);
-    }
-
-    #[test]
-    fn utilization_and_metrics_are_consistent() {
-        let p = tiny(Policy::Derate, 9);
-        let out = simulate(&p);
-        for w in &out.windows {
-            let u = w.utilization(p.nominal_capacity());
-            assert!((0.0..2.0).contains(&u), "utilization {u}");
-        }
-        let m = out.metrics();
-        assert_eq!(m.counter("fleet.requests.offered"), out.offered());
-        assert_eq!(m.counter("fleet.ticks"), p.duration_ticks);
-        assert_eq!(
-            m.histogram("fleet.latency_ms").map(|h| h.count()),
-            Some(out.latency.count())
-        );
-    }
 
     #[test]
     fn record_latencies_matches_naive_recording() {
@@ -687,23 +206,5 @@ mod tests {
         let c = severity_curve();
         assert_eq!(c.relative_performance(0.0), 1.0);
         assert!(c.relative_performance(0.5) < c.relative_performance(0.0625));
-    }
-
-    #[test]
-    fn series_totals_match_run_totals() {
-        let outcome = simulate(&SimParams::quick(16, 2_000, Policy::Derate, 7));
-        let set = outcome.series();
-        assert_eq!(set.get("offered").unwrap().total(), outcome.offered());
-        assert_eq!(set.get("served").unwrap().total(), outcome.served());
-        assert_eq!(set.get("dropped").unwrap().total(), outcome.dropped());
-        assert_eq!(
-            set.get("latency_ms").unwrap().total(),
-            outcome.latency.count()
-        );
-        assert_eq!(
-            set.get("offered").unwrap().len(),
-            outcome.windows.len(),
-            "one bucket per window"
-        );
     }
 }

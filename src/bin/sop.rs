@@ -145,6 +145,15 @@ fn num_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     }
 }
 
+/// The engine flags (`--jobs`, `--retries`, ...); a malformed value exits
+/// 2 naming the flag and the value.
+fn exec_config(args: &[String]) -> ExecConfig {
+    ExecConfig::from_args(args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
 /// Prints the usage summary to stderr and exits with `code`.
 fn usage(code: i32) -> ! {
     eprintln!("usage: sop pod <ooo|io> [--node 40|20]");
@@ -202,7 +211,7 @@ fn sweep(args: &[String]) {
     let out = flag_value(args, "--json")
         .cloned()
         .unwrap_or_else(|| format!("sweep-{name}.json"));
-    let exec = Exec::new(ExecConfig::from_args(args));
+    let exec = Exec::new(exec_config(args));
 
     let mut spans = SpanLog::new();
     let data = spans.time(name, |_| {
@@ -309,6 +318,13 @@ fn fleet(args: &[String]) {
         eprintln!("--series applies to the plain fleet sweep; use --slo with --resilience");
         std::process::exit(2);
     }
+    if let (true, Some(label)) = (resilience, flag_value(args, "--policy")) {
+        eprintln!(
+            "--policy {label:?} applies to the plain fleet sweep; \
+             resilience runs always derate damaged servers"
+        );
+        std::process::exit(2);
+    }
     let out = flag_value(args, "--json").cloned().unwrap_or_else(|| {
         if resilience {
             "resilience.json".to_owned()
@@ -326,7 +342,7 @@ fn fleet(args: &[String]) {
     scale_out_processors::exec::heartbeat::set_slo_source(
         scale_out_processors::fleet::slo_alert_state,
     );
-    let exec = Exec::new(ExecConfig::from_args(args));
+    let exec = Exec::new(exec_config(args));
 
     if resilience {
         resilience_fleet(

@@ -1,7 +1,8 @@
 //! End-to-end checks on the `sop` command line: asking for help never
-//! runs a command, and a malformed numeric flag fails before any work
-//! starts. Each case runs the built binary in an empty directory and
-//! requires the directory to stay empty.
+//! runs a command, and a malformed numeric flag or a flag the chosen
+//! mode would ignore fails before any work starts. Each case runs the
+//! built binary in an empty directory and requires the directory to
+//! stay empty.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -59,30 +60,64 @@ fn help_after_a_subcommand_runs_nothing() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// Asserts `sop args` exits 2, names every needle on stderr, and
+/// writes nothing into `dir`.
+fn rejected_without_writing(dir: &Path, args: &[&str], needles: &[&str]) {
+    let out = sop(dir, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "sop {args:?}: {stderr}");
+    assert!(
+        needles.iter().all(|n| stderr.contains(n)),
+        "sop {args:?} must name {needles:?}: {stderr}"
+    );
+    assert!(
+        entries(dir).is_empty(),
+        "sop {args:?} wrote {:?}",
+        entries(dir)
+    );
+}
+
 #[test]
 fn malformed_numbers_exit_2_without_writing() {
     let dir = empty_dir("numbers");
     for (args, flag) in [
         (&["fleet", "--quick", "--servers", "abc"][..], "--servers"),
         (&["fleet", "--quick", "--seed", "abc"], "--seed"),
+        (&["fleet", "--quick", "--jobs", "abc"], "--jobs"),
+        (&["fleet", "--quick", "--retries", "abc"], "--retries"),
+        (
+            &["fleet", "--quick", "--timeout-secs", "abc"],
+            "--timeout-secs",
+        ),
         (&["prof", "--quick", "--cores", "abc"], "--cores"),
         (
             &["bench", "--quick", "--only", "ch2", "--tol", "abc"],
             "--tol",
         ),
     ] {
-        let out = sop(&dir, args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "sop {args:?}: {stderr}");
-        assert!(
-            stderr.contains(flag) && stderr.contains("\"abc\""),
-            "sop {args:?} must name the flag and the bad value: {stderr}"
-        );
-        assert!(
-            entries(&dir).is_empty(),
-            "sop {args:?} wrote {:?}",
-            entries(&dir)
-        );
+        // The flag and the bad value, so a typo never runs silently
+        // with the default.
+        rejected_without_writing(&dir, args, &[flag, "\"abc\""]);
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn flags_a_mode_would_ignore_exit_2_without_writing() {
+    let dir = empty_dir("ignored");
+    for (args, flag, value) in [
+        (
+            &["fleet", "--quick", "--resilience", "--policy", "drain"][..],
+            "--policy",
+            "\"drain\"",
+        ),
+        (
+            &["fleet", "--quick", "--resilience", "--series"],
+            "--series",
+            "--resilience",
+        ),
+    ] {
+        rejected_without_writing(&dir, args, &[flag, value]);
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -1,94 +1,79 @@
-//! The fleet report is a pure function of its seed.
+//! The plain fleet report is a pure function of its seed.
 //!
-//! A fleet campaign must produce byte-identical stabilized reports no
-//! matter how it was scheduled: one worker or four, cold cache or warm.
-//! Every source of randomness is a seeded shim-RNG stream, time is an
-//! integer tick counter, and the load balancer splits arrivals with
-//! exact integer arithmetic — so the only thing allowed to change the
-//! bytes is the seed itself.
+//! `sop fleet` sweeps every organization × policy through the one fleet
+//! engine under plain presets. The stabilized report must be
+//! byte-identical at any worker count and cache state, and each quick
+//! plain row is pinned by its `spec_hash`.
 
-use scale_out_processors::exec::{Exec, ExecConfig};
-use scale_out_processors::fleet::{fleet_points, grid};
-use scale_out_processors::obs::{stabilized, Json, Registry, Report, SpanLog};
+mod common;
 
-/// Builds the stabilized fleet report exactly the way `sop fleet`
-/// does — engine campaign, summed fleet metrics, report document —
-/// and returns its pretty-printed bytes.
-fn fleet_report(workers: usize, dir: &std::path::Path, seed: u64) -> String {
-    let exec = Exec::new(ExecConfig {
-        jobs: workers,
-        cache_dir: Some(dir.to_path_buf()),
-        ..ExecConfig::default()
-    });
-    let specs = grid(8, seed, true, None, None);
-    let mut spans = SpanLog::new();
-    let rows = spans.time("fleet", |_| fleet_points(&exec, "fleet", &specs));
-    assert!(exec.failures().is_empty(), "{:?}", exec.failures());
-    let mut metrics = Registry::new();
-    let total_of = |row: &Json, key: &str| {
-        row.get("totals")
-            .and_then(|t| t.get(key))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0) as u64
-    };
-    for row in &rows {
-        metrics.counter_add("fleet.requests.offered", total_of(row, "offered"));
-        metrics.counter_add("fleet.requests.served", total_of(row, "served"));
-        metrics.counter_add("fleet.requests.dropped", total_of(row, "dropped"));
-    }
-    metrics.gauge_set("fleet.points", rows.len() as f64);
-    metrics.merge(&exec.metrics_snapshot());
-    let mut report = Report::new("fleet", "Scale-Out Processors: fleet simulation");
-    report.set("campaign", Json::from("fleet"));
-    report.set("quick", Json::from(true));
-    report.set("fleet", Json::Arr(rows));
-    stabilized(&report.to_json(&spans, &metrics)).to_pretty_string()
-}
-
-/// A scratch directory that cleans up after itself.
-struct Scratch(std::path::PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("sop-fleet-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use common::{assert_schedule_independent, fleet_report, Scratch, SERVERS};
+use scale_out_processors::exec::spec_hash;
+use scale_out_processors::fleet::grid;
 
 #[test]
 fn fleet_report_is_byte_identical_across_worker_counts() {
-    let one = Scratch::new("w1");
-    let four = Scratch::new("w4");
-    let serial = fleet_report(1, &one.0, 42);
-    let parallel = fleet_report(4, &four.0, 42);
-    assert_eq!(
-        serial, parallel,
-        "stabilized fleet reports must not depend on worker count"
-    );
-    // A warm-cache rerun replays every row from disk and must not
-    // change a byte either.
-    let replay = fleet_report(4, &four.0, 42);
-    assert_eq!(parallel, replay, "cache hits must reproduce the report");
+    assert_schedule_independent("plain");
 }
 
 #[test]
 fn fleet_report_depends_on_the_seed_and_nothing_else() {
-    let a = Scratch::new("seed-a");
-    let b = Scratch::new("seed-b");
-    let c = Scratch::new("seed-c");
-    let seed42 = fleet_report(2, &a.0, 42);
-    let seed42_again = fleet_report(2, &b.0, 42);
-    let seed43 = fleet_report(2, &c.0, 43);
+    let a = Scratch::new("plain", "seed-a");
+    let b = Scratch::new("plain", "seed-b");
+    let c = Scratch::new("plain", "seed-c");
+    let (seed42, _) = fleet_report("plain", 2, &a.0, 42);
+    let (seed42_again, _) = fleet_report("plain", 2, &b.0, 42);
+    let (seed43, _) = fleet_report("plain", 2, &c.0, 43);
     assert_eq!(seed42, seed42_again, "same seed, same bytes");
     assert_ne!(
         seed42, seed43,
         "a different seed draws different traffic and faults"
     );
+}
+
+/// `spec_hash` of every quick plain row at 8 servers, in grid order.
+/// Any drift is a change to the plain fleet model or its row schema.
+const PLAIN_ROW_HASHES: [(u64, [u64; 8]); 2] = [
+    (
+        42,
+        [
+            0x512d_2497_3a81_db17,
+            0x73f5_476b_0e1c_af85,
+            0xa41e_5310_7ecc_8676,
+            0x36a7_cbff_7c1c_0ad4,
+            0x414c_178a_78cf_21d3,
+            0x44cc_ed77_c79a_2cfe,
+            0x4b73_6f72_a945_0d60,
+            0xa0bf_2e9b_0dcd_04e2,
+        ],
+    ),
+    (
+        43,
+        [
+            0xa0ee_97f3_457f_861a,
+            0x13ba_13d8_329a_9769,
+            0xa721_f201_fcb3_bb5f,
+            0xc20d_5b82_839a_9ba2,
+            0x4429_b4a4_239b_9e5d,
+            0x5258_b77c_ba51_bb65,
+            0x11b0_4185_82bf_2bc8,
+            0xc3af_727e_7768_c3ba,
+        ],
+    ),
+];
+
+#[test]
+fn plain_rows_match_their_pinned_hashes() {
+    for (seed, want) in PLAIN_ROW_HASHES {
+        let specs = grid(SERVERS, seed, true, None, None);
+        assert_eq!(specs.len(), want.len());
+        for (spec, want) in specs.iter().zip(want) {
+            assert_eq!(
+                spec_hash(&spec.evaluate()),
+                want,
+                "{} drifted from its pinned row",
+                spec.name()
+            );
+        }
+    }
 }

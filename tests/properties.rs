@@ -461,7 +461,7 @@ proptest! {
         peak_util in prop::sample::select(vec![0.5, 0.9, 1.2]),
         mtbf in 100u64..2_000,
     ) {
-        use scale_out_processors::fleet::{simulate, SimParams};
+        use scale_out_processors::fleet::{simulate_resilience, ResilienceParams, SimParams};
         let params = SimParams {
             servers,
             per_server_qps,
@@ -475,7 +475,7 @@ proptest! {
             deadline_ms: 4_000,
             service_ms: 20,
         };
-        let out = simulate(&params);
+        let out = simulate_resilience(&ResilienceParams::plain(params));
         let mut ticks = 0u64;
         let mut carried_inflight = 0u64;
         for w in &out.windows {
@@ -494,10 +494,11 @@ proptest! {
             ticks += w.ticks;
         }
         prop_assert_eq!(ticks, duration, "windows must cover the whole run");
-        prop_assert_eq!(carried_inflight, out.inflight_end);
+        let t = &out.totals;
+        prop_assert_eq!(carried_inflight, t.inflight_end);
         prop_assert_eq!(
-            out.offered(),
-            out.served() + out.dropped() + out.inflight_end,
+            t.offered,
+            t.served + t.dropped() + t.inflight_end,
             "run totals must tile once the final backlog is counted"
         );
     }

@@ -8,90 +8,24 @@
 //! state, and the client-side bookkeeping must tile exactly (every
 //! issued request is the offered one, a retry, or a hedge copy).
 
-use scale_out_processors::exec::{Exec, ExecConfig};
-use scale_out_processors::fleet::{resilience_grid, resilience_points, storm_pair};
-use scale_out_processors::obs::{stabilized, Json, Registry, Report, SpanLog};
+mod common;
 
-/// Builds the stabilized resilience report exactly the way
-/// `sop fleet --resilience` does — ambient grid plus the committed
-/// storm pair, summed `fleet.resilience.*` metrics, report document —
-/// and returns its pretty-printed bytes.
-fn resilience_report(workers: usize, dir: &std::path::Path, seed: u64) -> String {
-    let exec = Exec::new(ExecConfig {
-        jobs: workers,
-        cache_dir: Some(dir.to_path_buf()),
-        ..ExecConfig::default()
-    });
-    let mut specs = resilience_grid(8, seed, true, Some("scaleout-ooo"), None, None, None);
-    specs.extend(storm_pair("scaleout-ooo", 8, seed, true));
-    let mut spans = SpanLog::new();
-    let rows = spans.time("resilience", |_| {
-        resilience_points(&exec, "resilience", &specs)
-    });
-    assert!(exec.failures().is_empty(), "{:?}", exec.failures());
-    let mut metrics = Registry::new();
-    for row in &rows {
-        for key in ["offered", "issued", "retries", "hedges", "goodput", "shed"] {
-            metrics.counter_add(&format!("fleet.resilience.{key}"), total_of(row, key));
-        }
-    }
-    metrics.gauge_set("fleet.resilience.points", rows.len() as f64);
-    metrics.merge(&exec.metrics_snapshot());
-    let mut report = Report::new("fleet", "Scale-Out Processors: fleet resilience simulation");
-    report.set("campaign", Json::from("resilience"));
-    report.set("quick", Json::from(true));
-    report.set("resilience", Json::Arr(rows));
-    stabilized(&report.to_json(&spans, &metrics)).to_pretty_string()
-}
-
-fn total_of(row: &Json, key: &str) -> u64 {
-    row.get("totals")
-        .and_then(|t| t.get(key))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0) as u64
-}
-
-/// A scratch directory that cleans up after itself.
-struct Scratch(std::path::PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("sop-resil-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use common::{assert_schedule_independent, fleet_report, total_of, Scratch};
+use scale_out_processors::obs::Json;
 
 #[test]
 fn resilience_report_is_byte_identical_across_worker_counts() {
-    let one = Scratch::new("w1");
-    let four = Scratch::new("w4");
-    let serial = resilience_report(1, &one.0, 42);
-    let parallel = resilience_report(4, &four.0, 42);
-    assert_eq!(
-        serial, parallel,
-        "stabilized resilience reports must not depend on worker count"
-    );
-    // A warm-cache rerun replays every row from disk and must not
-    // change a byte either.
-    let replay = resilience_report(4, &four.0, 42);
-    assert_eq!(parallel, replay, "cache hits must reproduce the report");
+    assert_schedule_independent("resilience");
 }
 
 #[test]
 fn resilience_report_depends_on_the_seed_and_nothing_else() {
-    let a = Scratch::new("seed-a");
-    let b = Scratch::new("seed-b");
-    let c = Scratch::new("seed-c");
-    let seed42 = resilience_report(2, &a.0, 42);
-    let seed42_again = resilience_report(2, &b.0, 42);
-    let seed43 = resilience_report(2, &c.0, 43);
+    let a = Scratch::new("resilience", "seed-a");
+    let b = Scratch::new("resilience", "seed-b");
+    let c = Scratch::new("resilience", "seed-c");
+    let (seed42, _) = fleet_report("resilience", 2, &a.0, 42);
+    let (seed42_again, _) = fleet_report("resilience", 2, &b.0, 42);
+    let (seed43, _) = fleet_report("resilience", 2, &c.0, 43);
     assert_eq!(seed42, seed42_again, "same seed, same bytes");
     assert_ne!(
         seed42, seed43,
@@ -101,17 +35,14 @@ fn resilience_report_depends_on_the_seed_and_nothing_else() {
 
 #[test]
 fn report_rows_conserve_the_client_side_request_ledger() {
-    let scratch = Scratch::new("ledger");
-    let exec = Exec::new(ExecConfig {
-        jobs: 2,
-        cache_dir: Some(scratch.0.clone()),
-        ..ExecConfig::default()
-    });
-    let mut specs = resilience_grid(8, 42, true, Some("scaleout-ooo"), None, None, None);
-    specs.extend(storm_pair("scaleout-ooo", 8, 42, true));
-    let rows = resilience_points(&exec, "resilience", &specs);
-    assert!(exec.failures().is_empty(), "{:?}", exec.failures());
-    for row in &rows {
+    let scratch = Scratch::new("resilience", "ledger");
+    let (_, doc) = fleet_report("resilience", 2, &scratch.0, 42);
+    let rows = doc
+        .get("sections")
+        .and_then(|s| s.get("resilience"))
+        .and_then(Json::as_arr)
+        .expect("resilience rows");
+    for row in rows {
         // Every issued request is accounted for: the offered arrival,
         // a timeout/rejection retry, or a hedge copy — nothing minted,
         // nothing lost. This is the retry-amplification ledger the

@@ -8,53 +8,10 @@
 //! count and cache state, and detection must land strictly before the
 //! scripted repair on the committed storm scenario.
 
-use scale_out_processors::exec::{Exec, ExecConfig};
-use scale_out_processors::fleet::{add_slo_metrics, resilience_points, storm_pair};
-use scale_out_processors::obs::{stabilized, Json, Registry, Report, SpanLog};
+mod common;
 
-/// Builds the stabilized storm report exactly the way
-/// `sop fleet --resilience --storm` does — the committed pair (both
-/// legs arm the SLO plane), `metrics.slo.*` folded from the rows — and
-/// returns its pretty-printed bytes plus the document.
-fn storm_report(workers: usize, dir: &std::path::Path, seed: u64) -> (String, Json) {
-    let exec = Exec::new(ExecConfig {
-        jobs: workers,
-        cache_dir: Some(dir.to_path_buf()),
-        ..ExecConfig::default()
-    });
-    let specs = storm_pair("scaleout-ooo", 8, seed, true);
-    let mut spans = SpanLog::new();
-    let rows = spans.time("resilience", |_| {
-        resilience_points(&exec, "resilience", &specs)
-    });
-    assert!(exec.failures().is_empty(), "{:?}", exec.failures());
-    let mut metrics = Registry::new();
-    add_slo_metrics(&rows, &mut metrics);
-    metrics.merge(&exec.metrics_snapshot());
-    let mut report = Report::new("fleet", "Scale-Out Processors: fleet resilience simulation");
-    report.set("campaign", Json::from("resilience"));
-    report.set("quick", Json::from(true));
-    report.set("resilience", Json::Arr(rows));
-    let doc = stabilized(&report.to_json(&spans, &metrics));
-    (doc.to_pretty_string(), doc)
-}
-
-/// A scratch directory that cleans up after itself.
-struct Scratch(std::path::PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("sop-slo-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use common::{assert_schedule_independent, fleet_report, Scratch};
+use scale_out_processors::obs::Json;
 
 fn metric(doc: &Json, key: &str) -> f64 {
     doc.get("metrics")
@@ -65,24 +22,13 @@ fn metric(doc: &Json, key: &str) -> f64 {
 
 #[test]
 fn slo_verdicts_are_byte_identical_across_worker_counts_and_cache_states() {
-    let one = Scratch::new("w1");
-    let four = Scratch::new("w4");
-    let (serial, _) = storm_report(1, &one.0, 42);
-    let (parallel, _) = storm_report(4, &four.0, 42);
-    assert_eq!(
-        serial, parallel,
-        "stabilized SLO verdicts must not depend on worker count"
-    );
-    // A warm-cache rerun replays every row (and thus every analysis)
-    // from disk and must not change a byte either.
-    let (replay, _) = storm_report(4, &four.0, 42);
-    assert_eq!(parallel, replay, "cache hits must reproduce the verdicts");
+    assert_schedule_independent("storm");
 }
 
 #[test]
 fn storm_detection_timeline_is_pinned() {
-    let scratch = Scratch::new("pin");
-    let (_, doc) = storm_report(2, &scratch.0, 42);
+    let scratch = Scratch::new("storm", "pin");
+    let (_, doc) = fleet_report("storm", 2, &scratch.0, 42);
     // The committed scenario: strike at 1800, windows of 300 ticks, so
     // the first window close after the strike — the detection tick — is
     // 2100 and TTD is exactly one window. These are exact integers; any
