@@ -8,10 +8,9 @@
 //! * link width — the area/performance frontier behind Fig 4.8;
 //! * instruction replication — what IR buys a mesh at each LLC size.
 //!
-//! ```text
-//! cargo run --release -p sop-bench --bin ablation \
-//!     [pods|llcrow|links|ir] [--json <path>] [--jobs N] [--no-cache] [--resume]
-//! ```
+//! `ablation [pods|llcrow|links|ir|all]` runs one ablation or all of
+//! them (the default); `ablation --help` prints the usage rendered from
+//! the flag table below.
 //!
 //! The simulation-backed sections (`llcrow`, `links`) run through the
 //! execution engine: their points are cached under `target/sop-cache/`,
@@ -24,6 +23,7 @@
 use sop_bench::points::{sim_points, SimPointSpec};
 use sop_core::chip::try_compose_pods;
 use sop_core::PodConfig;
+use sop_exec::cli::{Command, Flag};
 use sop_exec::{Exec, ExecConfig};
 use sop_model::{DesignPoint, Interconnect};
 use sop_noc::{NocAreaBreakdown, NocConfig, TopologyKind};
@@ -31,55 +31,41 @@ use sop_obs::{Json, Registry, Report, SpanLog};
 use sop_tech::{ChipBudget, CoreKind, TechnologyNode};
 use sop_workloads::Workload;
 
+#[rustfmt::skip]
+static CLI: Command = Command::new("ablation", "[pods|llcrow|links|ir|all]", (0, 1),
+    "ablations over the design choices the thesis motivates (default all)")
+    .choices(&["pods", "llcrow", "links", "ir", "all"])
+    .flags(&[Flag::value("--json", "PATH", "also write a sop-report/v1 report")])
+    .engine();
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let config = ExecConfig::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    });
-    let exec = Exec::new(config);
-    let which = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && (*i == 0
-                    || !matches!(
-                        args.get(i - 1).map(String::as_str),
-                        Some("--json" | "--jobs")
-                    ))
-        })
-        .map(|(_, a)| a.clone())
-        .next()
-        .unwrap_or_else(|| "all".to_owned());
+    let args = CLI.parse(std::env::args().skip(1));
+    let json_path = args.value("--json");
+    let exec = Exec::new(ExecConfig::from_cli(&args));
+    let which = args.positional(0).unwrap_or("all");
 
     let mut spans = SpanLog::new();
     let mut metrics = Registry::new();
     let mut report = Report::new("ablation", "Design-choice ablations");
-    if matches!(which.as_str(), "pods" | "all") {
+    if matches!(which, "pods" | "all") {
         let rows = spans.time("pods", |_| pods());
         report.set("pods", rows);
     }
-    if matches!(which.as_str(), "llcrow" | "all") {
+    if matches!(which, "llcrow" | "all") {
         let rows = spans.time("llcrow", |_| llc_row(&exec, &mut metrics));
         report.set("llcrow", rows);
     }
-    if matches!(which.as_str(), "links" | "all") {
+    if matches!(which, "links" | "all") {
         let rows = spans.time("links", |_| links(&exec, &mut metrics));
         report.set("links", rows);
     }
-    if matches!(which.as_str(), "ir" | "all") {
+    if matches!(which, "ir" | "all") {
         let rows = spans.time("ir", |_| instruction_replication());
         report.set("ir", rows);
     }
     if let Some(path) = json_path {
         metrics.merge(&exec.metrics_snapshot());
-        if let Err(e) = report.write_to(&path, &spans, &metrics) {
+        if let Err(e) = report.write_to(path, &spans, &metrics) {
             eprintln!("ablation: cannot write {path}: {e}");
             std::process::exit(1);
         }

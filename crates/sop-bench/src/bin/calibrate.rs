@@ -1,10 +1,8 @@
 //! Calibration dashboard: prints the model's values for every headline
 //! target so profile constants can be tuned against the thesis.
 //!
-//! ```text
-//! cargo run --release -p sop-bench --bin calibrate \
-//!     [--json <path>] [--jobs N]
-//! ```
+//! `calibrate --help` prints the usage rendered from the flag table
+//! below.
 //!
 //! Sections render into string buffers on the execution engine's worker
 //! pool (`--jobs` workers, one task per section) and print in a fixed
@@ -16,6 +14,7 @@
 use sop_core::designs::{reference_chip, DesignKind};
 use sop_core::pod::{optimal_pod, preferred_pod, PodSearchSpace};
 use sop_core::PodConfig;
+use sop_exec::cli::{Command, Flag};
 use sop_exec::{Exec, ExecConfig};
 use sop_model::{DesignPoint, Interconnect};
 use sop_obs::{Json, Registry, Report, SpanLog};
@@ -30,18 +29,16 @@ macro_rules! outln {
     };
 }
 
+#[rustfmt::skip]
+static CLI: Command = Command::new("calibrate", "", (0, 0),
+    "print the model's value for every headline calibration target")
+    .flags(&[Flag::value("--json", "PATH", "also write a sop-report/v1 report")])
+    .engine();
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let config = ExecConfig::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    });
-    let exec = Exec::new(config);
+    let args = CLI.parse(std::env::args().skip(1));
+    let json_path = args.value("--json");
+    let exec = Exec::new(ExecConfig::from_cli(&args));
 
     type Section = (&'static str, fn(&mut String) -> Json);
     let sections: Vec<Section> = vec![
@@ -70,7 +67,7 @@ fn main() {
     if let Some(path) = json_path {
         let mut metrics = Registry::new();
         metrics.merge(&exec.metrics_snapshot());
-        if let Err(e) = report.write_to(&path, &spans, &metrics) {
+        if let Err(e) = report.write_to(path, &spans, &metrics) {
             eprintln!("calibrate: cannot write {path}: {e}");
             std::process::exit(1);
         }

@@ -1,45 +1,14 @@
 //! Regenerates the thesis' tables and figures.
 //!
-//! ```text
-//! repro <id>...        one or more of: fig2.1 fig2.2 fig2.3 tab2.1 tab2.3
-//!                      tab2.4 fig3.1 fig3.3 fig3.4 fig3.5 fig3.6 tab3.2
-//!                      fig4.3 tab4.1 fig4.6 fig4.7 fig4.8 fig4.9 tab5.1
-//!                      tab5.2 fig5.1 fig5.2 fig5.3 fig5.4 fig5.5 fig6.4
-//!                      fig6.5 fig6.6 fig6.7 tab6.2
-//! repro all            everything (simulation-backed figures take minutes)
-//! repro all --quick    everything with shortened simulation windows
-//! ```
+//! `repro <id>...` runs the named experiments (index in DESIGN.md),
+//! `repro all` every one of them; `repro --help` prints the usage
+//! rendered from the flag table below. `--fault` runs every simulation
+//! point under seeded router deaths: faulted specs hash differently, so
+//! the fault-free cache is never contaminated, and the goldens (measured
+//! on the healthy machine) may legitimately fail under damage.
 //!
-//! Flags:
-//!
-//! * `--json <path>` — also write a schema-versioned run report
-//!   (`sop-report/v1`): per-chapter/per-figure timing spans, the golden
-//!   check results, named metrics (`sim.llc.*`, `sim.l1.*`, `noc.*`,
-//!   `mem.*`) from a sample pod simulation, and the execution engine's
-//!   `exec.*` counters.
-//! * `--quiet` — suppress the figure text; print only the report path
-//!   (requires `--json`).
-//! * `--jobs N` — run simulation points on N worker threads (0 or
-//!   omitted = one per core). Output is byte-identical for any N.
-//! * `--no-cache` — recompute every simulation point, ignoring
-//!   `target/sop-cache/`.
-//! * `--resume` — replay points recorded in the campaign manifests of a
-//!   previous (possibly killed) run.
-//! * `--stable` — strip wall-clock spans and `exec.*` state from the
-//!   `--json` report so reports from different worker counts and cache
-//!   states compare byte-for-byte.
-//! * `--fault routers:N@CYCLE[:seed=S]` — run every simulation point
-//!   under N seeded router deaths at CYCLE (graceful-degradation
-//!   exercise). Faulted specs hash differently, so the fault-free cache
-//!   is never contaminated; goldens are measured on the healthy machine
-//!   and may legitimately fail under damage.
-//!
-//! Unknown flags and unknown experiment ids are rejected (exit 2, with
-//! the valid set) before anything runs.
-//!
-//! The `degradation` experiment id prints the seeded router-death sweep
-//! (pod throughput vs fraction of failed routers); it is not part of
-//! `all`, which stays the canonical fault-free reproduction.
+//! The `degradation` id prints the seeded router-death sweep; it is not
+//! part of `all`, which stays the canonical fault-free reproduction.
 //!
 //! After the requested figures, every run re-verifies the pinned golden
 //! values (see `tests/golden.rs` and EXPERIMENTS.md) and exits non-zero
@@ -48,51 +17,45 @@
 use sop_bench::points::{set_global_faults, SpecFaults};
 use sop_bench::report::{checks_json, golden_checks, pod_sample_metrics};
 use sop_bench::{ch2, ch3, ch4, ch5, ch6, degradation};
+use sop_exec::cli::{fail, Command, Flag};
 use sop_exec::{Exec, ExecConfig};
 use sop_obs::{stabilized, write_atomic, Json, Registry, Report, SpanLog};
 use sop_tech::{CoreKind, TechnologyNode};
 
+#[rustfmt::skip]
+static CLI: Command = Command::new("repro", "<id>... | all", (1, usize::MAX),
+    "regenerate the thesis' tables and figures (index in DESIGN.md), then check the goldens")
+    .flags(&[
+        Flag::switch("--quick", "shortened simulation windows"),
+        Flag::value("--json", "PATH", "also write a sop-report/v1 run report"),
+        Flag::switch("--quiet", "print only the report path (requires --json)"),
+        Flag::switch("--stable", "strip wall-clock and cache state from the report"),
+        Flag::value("--fault", "routers:N@CYCLE[:seed=S]", "N seeded router deaths at CYCLE"),
+    ])
+    .engine();
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let quiet = args.iter().any(|a| a == "--quiet");
-    let stable = args.iter().any(|a| a == "--stable");
-    let json_path = flag_value(&args, "--json");
-    let fault = match flag_value(&args, "--fault").as_deref().map(parse_fault) {
-        None => None,
-        Some(Ok(f)) => {
-            set_global_faults(f);
-            Some(f)
-        }
-        Some(Err(e)) => {
-            eprintln!("repro: bad --fault value: {e}");
-            eprintln!("       expected routers:<count>@<cycle>[:seed=<seed>]");
-            std::process::exit(2);
-        }
-    };
-    let ids = experiment_ids(&args).unwrap_or_else(|e| {
-        eprintln!("repro: {e}");
-        std::process::exit(2);
+    let args = CLI.parse(std::env::args().skip(1));
+    let quick = args.switch("--quick");
+    let json_path = args.value("--json");
+    let fault = args.value("--fault").map(|v| {
+        let f = parse_fault(v).unwrap_or_else(|e| {
+            fail(format_args!(
+                "repro: bad --fault value: {e}\n       \
+                 expected routers:<count>@<cycle>[:seed=<seed>]"
+            ))
+        });
+        set_global_faults(f);
+        f
     });
-    if ids.is_empty() {
-        eprintln!(
-            "usage: repro <experiment id>... | all [--quick] [--json <path>] [--quiet] \
-             [--jobs N] [--no-cache] [--resume] [--stable] [--fault routers:N@CYCLE]"
-        );
-        eprintln!("see DESIGN.md for the experiment index");
-        std::process::exit(2);
-    }
-    let config = ExecConfig::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    });
-    let exec = Exec::new(config);
-    if quiet {
+    let ids = args.positionals();
+    check_ids(ids).unwrap_or_else(|e| fail(format_args!("repro: {e}")));
+    let exec = Exec::new(ExecConfig::from_cli(&args));
+    if args.switch("--quiet") {
         let Some(path) = json_path else {
-            eprintln!("repro: --quiet requires --json <path> (nothing would be printed)");
-            std::process::exit(2);
+            fail("repro: --quiet requires --json <path> (nothing would be printed)");
         };
-        rerun_quietly(&path);
+        rerun_quietly(path);
     }
 
     let run: Vec<&str> = if ids.iter().any(|i| i == "all") {
@@ -177,8 +140,12 @@ fn main() {
             );
         }
         let doc = report.to_json(&spans, &metrics);
-        let doc = if stable { stabilized(&doc) } else { doc };
-        if let Err(e) = write_atomic(&path, &(doc.to_pretty_string() + "\n")) {
+        let doc = if args.switch("--stable") {
+            stabilized(&doc)
+        } else {
+            doc
+        };
+        if let Err(e) = write_atomic(path, &(doc.to_pretty_string() + "\n")) {
             eprintln!("repro: cannot write {path}: {e}");
             std::process::exit(1);
         }
@@ -232,14 +199,6 @@ fn exec_summary(exec: &Exec) -> Json {
         .with("cache_invalid", m.counter("exec.cache.invalid"))
 }
 
-/// The value following `flag`, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 /// The experiments `all` runs, in order.
 const ALL: [&str; 31] = [
     "fig2.1", "fig2.2", "fig2.3", "tab2.1", "tab2.3", "tab2.4", "fig3.1", "fig3.3", "fig3.4",
@@ -252,39 +211,20 @@ const ALL: [&str; 31] = [
 /// already prints, the opt-in degradation sweep, and `all` itself.
 const EXTRA_IDS: [&str; 5] = ["tab2.2", "fig5.4", "tab6.1", "degradation", "all"];
 
-/// Flags that take a value, and flags that stand alone.
-const VALUE_FLAGS: [&str; 3] = ["--json", "--jobs", "--fault"];
-const SWITCHES: [&str; 5] = ["--quick", "--quiet", "--no-cache", "--resume", "--stable"];
-
-/// Positional experiment ids: everything that is not a flag or a flag's
-/// value. An unknown flag or id is an error naming the valid set, so a
-/// typo fails before anything runs instead of after the ids before it.
-fn experiment_ids(args: &[String]) -> Result<Vec<String>, String> {
-    let mut ids = Vec::new();
-    let mut rest = args.iter();
-    while let Some(a) = rest.next() {
-        let a = a.as_str();
-        if VALUE_FLAGS.contains(&a) {
-            rest.next();
-        } else if SWITCHES.contains(&a) {
-            continue;
-        } else if a.starts_with("--") {
-            return Err(format!(
-                "unknown flag {a}; one of: {} {}",
-                VALUE_FLAGS.join(" "),
-                SWITCHES.join(" ")
-            ));
-        } else if ALL.contains(&a) || EXTRA_IDS.contains(&a) {
-            ids.push(a.to_owned());
-        } else {
-            return Err(format!(
-                "unknown experiment id: {a}; one of: {} {}",
-                ALL.join(" "),
-                EXTRA_IDS.join(" ")
-            ));
-        }
+/// Rejects an unknown experiment id, naming the valid set, so a typo
+/// fails before the ids ahead of it run.
+fn check_ids(ids: &[String]) -> Result<(), String> {
+    match ids
+        .iter()
+        .find(|a| !ALL.contains(&a.as_str()) && !EXTRA_IDS.contains(&a.as_str()))
+    {
+        Some(a) => Err(format!(
+            "unknown experiment id: {a}; one of: {} {}",
+            ALL.join(" "),
+            EXTRA_IDS.join(" ")
+        )),
+        None => Ok(()),
     }
-    Ok(ids)
 }
 
 /// `"fig4.6"` -> `"ch4"`; chapter spans group the per-figure spans.
@@ -380,21 +320,25 @@ mod tests {
 
     #[test]
     fn known_flags_and_ids_parse() {
-        let ids = experiment_ids(&args(&[
+        let argv = args(&[
             "fig3.3", "--quick", "--jobs", "2", "--json", "r.json", "tab6.1", "--stable",
-        ]));
-        assert_eq!(ids, Ok(args(&["fig3.3", "tab6.1"])));
-        assert_eq!(experiment_ids(&args(&["all"])), Ok(args(&["all"])));
+        ]);
+        let parsed = CLI.try_parse(&argv).expect("valid").expect("not help");
+        assert_eq!(parsed.positionals(), args(&["fig3.3", "tab6.1"]));
+        assert_eq!(check_ids(parsed.positionals()), Ok(()));
+        assert_eq!(check_ids(&args(&["all"])), Ok(()));
     }
 
     #[test]
     fn unknown_flags_and_ids_are_rejected_up_front() {
         // A removed flag must not be silently ignored next to `all`.
-        let err = experiment_ids(&args(&["all", "--quick", "--threads", "4"])).unwrap_err();
+        let err = CLI
+            .try_parse(&args(&["all", "--quick", "--threads", "4"]))
+            .unwrap_err();
         assert!(err.starts_with("unknown flag --threads"), "{err}");
         assert!(err.contains("--jobs"), "the valid set is listed: {err}");
         // A bogus id is caught before the valid ids ahead of it run.
-        let err = experiment_ids(&args(&["fig3.3", "bogus"])).unwrap_err();
+        let err = check_ids(&args(&["fig3.3", "bogus"])).unwrap_err();
         assert!(err.starts_with("unknown experiment id: bogus"), "{err}");
         assert!(err.contains("fig3.3"), "the valid set is listed: {err}");
     }

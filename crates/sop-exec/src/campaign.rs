@@ -207,7 +207,8 @@ impl CampaignRun {
     }
 }
 
-/// Execution settings, usually parsed straight from a binary's argv.
+/// Execution settings, usually read from a binary's engine flags
+/// ([`ExecConfig::from_cli`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Worker threads; 0 means one per available core.
@@ -246,40 +247,6 @@ impl Default for ExecConfig {
             backoff_ms: 25,
             heartbeat: true,
         }
-    }
-}
-
-impl ExecConfig {
-    /// Parses the engine's standard flags from argv: `--jobs N`,
-    /// `--no-cache`, `--resume`, `--timeout-secs N`, `--retries N`,
-    /// `--no-heartbeat`.
-    /// Unknown arguments are ignored (they belong to the host binary). A
-    /// numeric flag with a missing or malformed value is an error naming
-    /// the flag and the value, so a typo never runs with the default.
-    pub fn from_args(args: &[String]) -> Result<Self, String> {
-        fn flag_value<T: std::str::FromStr>(
-            args: &[String],
-            flag: &str,
-        ) -> Result<Option<T>, String> {
-            let Some(i) = args.iter().position(|a| a == flag) else {
-                return Ok(None);
-            };
-            let value = args.get(i + 1).map_or("", String::as_str);
-            value
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{flag}: {value:?} is not a valid number"))
-        }
-        let defaults = ExecConfig::default();
-        Ok(ExecConfig {
-            jobs: flag_value(args, "--jobs")?.unwrap_or(0),
-            no_cache: args.iter().any(|a| a == "--no-cache"),
-            resume: args.iter().any(|a| a == "--resume"),
-            timeout_secs: flag_value(args, "--timeout-secs")?,
-            retries: flag_value(args, "--retries")?.unwrap_or(defaults.retries),
-            heartbeat: !args.iter().any(|a| a == "--no-heartbeat"),
-            ..defaults
-        })
     }
 }
 

@@ -253,12 +253,20 @@ impl Heartbeat {
 /// Parses a progress stream into event objects, skipping malformed
 /// lines (a reader can race the writer's final line).
 pub fn read_events(path: &Path) -> Vec<Json> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    text.lines()
+    read_events_counting(path).0
+}
+
+/// [`read_events`] plus the number of malformed lines it skipped
+/// (blank lines are not counted).
+pub fn read_events_counting(path: &Path) -> (Vec<Json>, usize) {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    let events: Vec<Json> = lines
+        .iter()
         .filter_map(|l| sop_obs::json::parse(l).ok())
-        .collect()
+        .collect();
+    let malformed = lines.len() - events.len();
+    (events, malformed)
 }
 
 /// Last-known activity of one worker.

@@ -20,6 +20,8 @@
 //! * [`heartbeat`] — the live campaign telemetry stream: workers append
 //!   NDJSON progress events to `<cache-dir>/progress.ndjson`, which
 //!   `sop top` tails and aggregates into a [`TopSnapshot`].
+//! * [`cli`] — the argv grammar of every binary: one flag table per
+//!   command, the engine flags declared once, usage rendered from it.
 //!
 //! The engine never makes anything *less* deterministic: a campaign run
 //! with one worker, eight workers, a cold cache, or a warm cache yields
@@ -29,6 +31,7 @@
 
 pub mod cache;
 pub mod campaign;
+pub mod cli;
 pub mod hash;
 pub mod heartbeat;
 pub mod pool;
@@ -348,33 +351,5 @@ mod tests {
         assert_eq!(m.gauge("exec.workers"), Some(1.0));
         // 6 distinct specs: each missed once before computing.
         assert_eq!(m.counter("exec.cache.misses"), 6);
-    }
-
-    #[test]
-    fn exec_config_parses_standard_flags() {
-        let args: Vec<String> = ["prog", "--quick", "--jobs", "4", "--no-cache", "--resume"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let cfg = ExecConfig::from_args(&args).expect("valid flags");
-        assert_eq!(cfg.jobs, 4);
-        assert!(cfg.no_cache);
-        assert!(cfg.resume);
-        let none = ExecConfig::from_args(&["prog".to_owned()]).expect("no flags");
-        assert_eq!(none.jobs, 0);
-        assert!(!none.no_cache && !none.resume);
-        for flag in ["--jobs", "--retries", "--timeout-secs"] {
-            let bad: Vec<String> = ["prog", flag, "abc"]
-                .iter()
-                .map(|s| (*s).to_owned())
-                .collect();
-            let err = ExecConfig::from_args(&bad).expect_err(flag);
-            assert!(err.contains(flag) && err.contains("\"abc\""), "{err}");
-            let missing: Vec<String> = ["prog", flag].iter().map(|s| (*s).to_owned()).collect();
-            assert!(
-                ExecConfig::from_args(&missing).is_err(),
-                "{flag} without a value"
-            );
-        }
     }
 }

@@ -42,6 +42,7 @@ pub mod domains;
 pub mod failure;
 pub mod org;
 pub mod point;
+pub mod report;
 pub mod resilience;
 pub mod sim;
 pub mod traffic;
@@ -53,6 +54,7 @@ pub use point::{
     add_slo_metrics, fleet_points, grid, resilience_grid, resilience_points, storm_pair,
     FleetPointSpec, ResiliencePointSpec, SLO_AVAILABILITY_TARGET,
 };
+pub use report::{campaign_report, row_total, Campaign, CampaignReport};
 pub use resilience::{
     simulate_resilience, Balance, ResilienceOutcome, ResilienceParams, ResilienceWindow,
     RetryPolicy, RETRY_POLICIES,

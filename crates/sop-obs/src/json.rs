@@ -282,11 +282,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so an unbounded depth would let a
+/// hostile `[[[…]]]` overflow the stack; the deepest document the repo
+/// writes (a fleet report with telemetry) nests 11 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -300,6 +307,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -344,8 +352,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
@@ -427,13 +446,15 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self
+                            let code = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
+                                .and_then(|hex| {
+                                    hex.iter().try_fold(0, |code, &b| {
+                                        Some(code * 16 + char::from(b).to_digit(16)?)
+                                    })
+                                })
+                                .ok_or_else(|| self.error("\\u escape needs 4 hex digits"))?;
                             self.pos += 4;
                             // Surrogate pairs are not emitted by our writer;
                             // map lone surrogates to the replacement char.
@@ -591,6 +612,9 @@ mod tests {
             "\"unterminated",
             "1 2",
             "{\"a\":}",
+            "\"\\u+041\"",
+            "\"\\u 041\"",
+            "\"\\u04\"",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }

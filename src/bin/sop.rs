@@ -1,69 +1,11 @@
 //! `sop` — interactive design-space explorer.
 //!
-//! ```text
-//! sop pod    <ooo|io> [--node 40|20]          derive the PD-optimal pod
-//! sop chip   <design> [--node 40|20]          compose a reference chip
-//! sop dc     <design> [--mem GB]              size a 20MW datacenter
-//! sop stack  <ooo|io> <dies> [--fixed-distance]   evaluate a 3D pod
-//! sop trace  <workload> [--topo mesh|fbfly|nocout] [--out FILE] [--quick]
-//!            [--analyze] [--sample N] [--cores N]
-//!                                             capture a Chrome trace of a pod run;
-//!                                             --analyze prints the per-stage latency
-//!                                             breakdown (NOC, bank, directory, memory)
-//! sop diff   <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]
-//!                                             structurally compare two sop-report/v1
-//!                                             documents; exit 1 on any divergence
-//! sop sweep  <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--no-cache]
-//!            [--resume] [--json FILE] [--quick] [--stable] [--no-heartbeat]
-//!                                             run a named experiment campaign
-//! sop fleet  [--servers N] [--policy drain|derate] [--org NAME] [--seed S] [--quick]
-//!            [--jobs N] [--no-cache] [--resume] [--json FILE] [--stable] [--no-heartbeat]
-//!            [--series]                       simulate a fleet of SOP servers behind a
-//!                                             load balancer: cost per sustained QPS and
-//!                                             tail latency vs utilization per chip
-//!                                             organization; --series exports per-window
-//!                                             telemetry as a `series` report section
-//! sop fleet  --resilience [--topology flat|rack|wide] [--retry none|naive|backoff|hedge]
-//!            [--shed on|off] [--storm] [--slo] [...]
-//!                                             the resilience layer: correlated failure
-//!                                             domains, retry/hedge/timeout clients,
-//!                                             health-checked balancing, adaptive
-//!                                             overload shedding; --storm runs the
-//!                                             committed PDU-outage scenario (its rows
-//!                                             always arm the SLO monitoring plane);
-//!                                             --slo arms it on the ambient sweep too
-//! sop slo    <report.json> [--target PCT] [--latency-ms N] [--latency-target PCT]
-//!            [--ascii-sparkline]              replay the multi-window burn-rate
-//!                                             analysis over a report's `series`
-//!                                             section: burn table, incident timeline
-//!                                             with cause tags, TTD vs TTR
-//! sop bench  [--quick] [--jobs N] [--only ch3[,ch4...]] [--json FILE]
-//!            [--baseline FILE] [--tol PCT]    time the simulator hot paths and
-//!                                             append the run to the bench history
-//!                                             in FILE (default bench.json; the
-//!                                             committed history is BENCH_sim.json)
-//! sop prof   [<workload>] [--topo T] [--quick] [--cores N] [--json FILE]
-//!                                             run a self-profiled pod window and
-//!                                             print the host-side component
-//!                                             self-time table
-//! sop prof   --analyze <a.json> [b.json] [--tol PCT] [--tol-path PREFIX=PCT]
-//!                                             re-render the table from a report's
-//!                                             prof metrics; with two files, diff
-//!                                             the prof sections under tolerance
-//! sop top    [--file PATH] [--once] [--interval-ms N]
-//!                                             live terminal monitor over a
-//!                                             campaign's progress.ndjson heartbeat
-//! sop metrics <report.json> [--text]          dump a report's metrics object;
-//!                                             --text emits Prometheus exposition
-//!                                             (plus `series` last-value samples
-//!                                             when the report carries telemetry)
-//! sop cache  [--dir DIR]                      audit the result cache for debris
-//! sop list                                    list design names
-//! ```
-//!
-//! `--help` (or `-h`) anywhere on the command line prints the usage and
-//! exits 0 before anything runs. A numeric flag whose value does not
-//! parse exits 2 naming the flag instead of falling back to its default.
+//! Every subcommand's grammar is one [`Command`] table below; `sop
+//! --help` lists the subcommands and `sop <command> --help` prints the
+//! usage rendered from that command's table. `--help` (or `-h`)
+//! anywhere exits 0 before anything runs. An unlisted flag, a missing
+//! or malformed value, a repeated flag, or an unexpected argument exits
+//! 2 naming it and the valid set, before anything runs.
 
 use scale_out_processors::bench::bench::{
     append_history, check_regression, commit_hash, history_entry, run_suite_with_metrics,
@@ -73,13 +15,14 @@ use scale_out_processors::bench::campaign::{run_campaign, CAMPAIGNS};
 use scale_out_processors::core::designs::{reference_chip, DesignKind};
 use scale_out_processors::core::pod::{optimal_pod, preferred_pod, PodSearchSpace};
 use scale_out_processors::exec::audit_dir;
-use scale_out_processors::exec::heartbeat::{read_events, snapshot, PROGRESS_FILE};
+use scale_out_processors::exec::cli::{fail, Args, Command, Flag};
+use scale_out_processors::exec::heartbeat::{read_events_counting, snapshot, PROGRESS_FILE};
 use scale_out_processors::exec::{Exec, ExecConfig};
 use scale_out_processors::noc::TopologyKind;
 use scale_out_processors::obs::prom::{exposition_from_json, metric_name};
 use scale_out_processors::obs::{
-    diff_reports, stabilized, write_atomic, DiffConfig, Json, ProfBreakdown, Registry, Report,
-    SpanLog, TxnBreakdown,
+    diff_reports, stabilized, write_atomic, DiffConfig, DiffResult, Json, ProfBreakdown, Registry,
+    Report, SpanLog, TxnBreakdown,
 };
 use scale_out_processors::sim::{Machine, SimConfig};
 use scale_out_processors::tco::{Datacenter, TcoParams};
@@ -89,129 +32,215 @@ use scale_out_processors::threed::{
 };
 use scale_out_processors::workloads::Workload;
 
+const CORE_KINDS: &[&str] = &["ooo", "io", "conv"];
+const NODE: Flag = Flag::value("--node", "40|32|20", "technology node in nm (default 40)");
+const TOPO: Flag = Flag::value("--topo", "mesh|fbfly|nocout", "pod NOC (default nocout)");
+const CORES: Flag = Flag::value(
+    "--cores",
+    "N",
+    "run the N-core validation point, not the pod",
+);
+const QUICK: Flag = Flag::switch("--quick", "shortened simulation window");
+const STABLE: Flag = Flag::switch(
+    "--stable",
+    "strip wall-clock and cache state from the report",
+);
+const TOL_PATH: Flag = Flag::value("--tol-path", "PREFIX=PCT", "subtree tolerance (repeatable)");
+
+/// A subcommand's grammar and the function that runs it.
+type Subcommand = (Command, fn(&Args));
+
+#[rustfmt::skip]
+static COMMANDS: [Subcommand; 15] = [
+    (Command::new("sop pod", "<ooo|io|conv>", (1, 1), "derive the PD-optimal pod")
+        .choices(CORE_KINDS).flags(&[NODE]), pod),
+    (Command::new("sop chip", "<design>", (1, 1), "compose a reference chip")
+        .flags(&[NODE]), chip),
+    (Command::new("sop dc", "<design>", (1, 1), "size a 20MW datacenter")
+        .flags(&[Flag::value("--mem", "GB", "memory per server (default 64)")]), dc),
+    (Command::new("sop stack", "<ooo|io|conv> [dies]", (1, 2), "evaluate a 3D pod")
+        .choices(CORE_KINDS)
+        .flags(&[Flag::switch("--fixed-distance", "keep the pod's wire distance, not its size")]),
+        stack),
+    (Command::new("sop trace", "[workload]", (0, 1), "capture a Chrome trace of a pod run")
+        .flags(&[
+            TOPO,
+            Flag::value("--out", "FILE", "trace path (default trace.json)"),
+            QUICK,
+            Flag::switch("--analyze", "print the per-stage latency breakdown"),
+            Flag::value("--sample", "N", "trace every Nth transaction (default 1)"),
+            CORES,
+        ]), trace),
+    (Command::new("sop diff", "<a.json> <b.json>", (2, 2), "compare two sop-report/v1 documents")
+        .flags(&[Flag::value("--tol", "PCT", "numeric leaf tolerance (default 0)"), TOL_PATH]),
+        diff),
+    (Command::new("sop sweep", "<campaign>", (1, 1), "run a named experiment campaign")
+        .choices(&CAMPAIGNS)
+        .flags(&[QUICK, STABLE, Flag::value("--json", "FILE", "default sweep-<campaign>.json")])
+        .engine(), sweep),
+    (Command::new("sop fleet", "", (0, 0), "simulate a fleet of SOP servers behind a balancer")
+        .flags(&[
+            Flag::value("--servers", "N", "fleet size (default 256, 64 with --quick)"),
+            Flag::value("--seed", "S", "traffic and failure seed (default 42)"),
+            Flag::value("--org", "NAME", "one chip organization only"),
+            Flag::value("--policy", "drain|derate", "one repair policy only (plain fleet)"),
+            Flag::switch("--quick", "shortened simulated day"),
+            STABLE,
+            Flag::value("--json", "FILE", "default fleet.json, resilience.json with --resilience"),
+            Flag::switch("--series", "export per-window telemetry as a series section"),
+            Flag::switch("--resilience", "failure domains, retrying clients, health checks"),
+            Flag::value("--topology", "flat|rack|wide", "one failure-domain topology only"),
+            Flag::value("--retry", "none|naive|backoff|hedge", "one retry policy only"),
+            Flag::value("--shed", "on|off", "one overload-shedder arming only"),
+            Flag::switch("--storm", "the committed PDU-outage scenario (arms the SLO plane)"),
+            Flag::switch("--slo", "arm the SLO monitoring plane on the ambient sweep"),
+        ])
+        .engine(), fleet),
+    (Command::new("sop slo", "<report.json>", (1, 1), "replay a report's burn-rate analysis")
+        .flags(&[
+            Flag::value("--target", "PCT", "availability objective (default 99.9)"),
+            Flag::value("--latency-ms", "N", "add a latency objective at N ms"),
+            Flag::value("--latency-target", "PCT", "latency objective (default 99)"),
+            Flag::switch("--ascii-sparkline", "render the per-window goodness ratio"),
+        ]), slo_cmd),
+    (Command::new("sop bench", "", (0, 0), "time the simulator hot paths into the bench history")
+        .flags(&[
+            QUICK,
+            Flag::value("--jobs", "N", "worker threads (0 or omitted = one per core)"),
+            Flag::value("--only", "LIST", "comma-separated campaigns to time"),
+            Flag::value("--json", "FILE", "history document to append to (default bench.json)"),
+            Flag::value("--baseline", "FILE", "fail on a regression against FILE"),
+            Flag::value("--tol", "PCT", "regression tolerance (default 25)"),
+        ]), bench),
+    (Command::new("sop prof", "[workload] | --analyze <a.json> [b.json]", (0, 2),
+        "self-profile a pod window, or re-render written profiles")
+        .flags(&[
+            TOPO,
+            QUICK,
+            CORES,
+            Flag::value("--json", "FILE", "report path (default prof.json)"),
+            Flag::switch("--analyze", "re-render the table from written reports"),
+            Flag::value("--tol", "PCT", "--analyze diff tolerance (default 25)"),
+            TOL_PATH,
+        ]), prof),
+    (Command::new("sop top", "", (0, 0), "live monitor over a campaign's heartbeat stream")
+        .flags(&[
+            Flag::value("--file", "PATH", "heartbeat stream (default: the result cache's)"),
+            Flag::switch("--once", "render one snapshot and exit"),
+            Flag::value("--interval-ms", "N", "redraw interval (default 500)"),
+        ]), top),
+    (Command::new("sop metrics", "<report.json>", (1, 1), "dump a report's metrics")
+        .flags(&[Flag::switch("--text", "Prometheus exposition plus series last values")]),
+        metrics_cmd),
+    (Command::new("sop cache", "", (0, 0), "audit the result cache for debris")
+        .flags(&[Flag::value("--dir", "DIR", "cache directory (default: the result cache)")]),
+        cache),
+    (Command::new("sop list", "", (0, 0), "list design names"), list),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("");
-    // `--help` anywhere asks for usage: nothing runs and nothing is
-    // written (a subcommand must never treat it as an ordinary flag).
-    if args.iter().any(|a| a == "--help" || a == "-h") || cmd == "help" {
-        usage(0);
+    let mut argv = std::env::args().skip(1);
+    let name = argv.next().unwrap_or_default();
+    let named = |(c, _): &&Subcommand| c.name.strip_prefix("sop ") == Some(&name);
+    if let Some((command, run)) = COMMANDS.iter().find(named) {
+        return run(&command.parse(argv));
     }
-    match cmd {
-        "pod" => pod(&args),
-        "chip" => chip(&args),
-        "dc" => dc(&args),
-        "stack" => stack(&args),
-        "trace" => trace(&args),
-        "diff" => diff(&args),
-        "sweep" => sweep(&args),
-        "fleet" => fleet(&args),
-        "slo" => slo_cmd(&args),
-        "bench" => bench(&args),
-        "prof" => prof(&args),
-        "top" => top(&args),
-        "metrics" => metrics_cmd(&args),
-        "cache" => cache(&args),
-        "list" => list(),
-        "" => usage(2),
-        other => {
-            eprintln!(
-                "unknown subcommand {other:?}; one of: pod chip dc stack trace diff sweep \
-                 fleet slo bench prof top metrics cache list"
-            );
-            usage(2);
+    eprint!("{}", overview());
+    match name.as_str() {
+        "help" | "-h" | "--help" => std::process::exit(0),
+        "" => std::process::exit(2),
+        other => fail(format_args!("unknown subcommand {other:?}")),
+    }
+}
+
+/// The subcommand list, rendered from [`COMMANDS`].
+fn overview() -> String {
+    let width = COMMANDS.iter().map(|(c, _)| c.synopsis().len()).max();
+    let width = width.unwrap_or(0);
+    let mut out = "usage: sop <command> ...; `sop <command> --help` lists its flags\n\n".to_owned();
+    for (c, _) in &COMMANDS {
+        out += &format!("  {:<width$}  {}\n", c.synopsis(), c.about);
+    }
+    out
+}
+
+/// Writes `doc`, stabilized when `stable`, pretty-printed to `out`;
+/// exits 1 when it cannot.
+fn write_report(out: &str, doc: &Json, stable: bool) {
+    let stable_doc = stable.then(|| stabilized(doc));
+    let text = stable_doc.as_ref().unwrap_or(doc).to_pretty_string();
+    if let Err(e) = write_atomic(out, &(text + "\n")) {
+        eprintln!("cannot write {out}: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Reads and parses the JSON document at `path`; exits 2 when it cannot.
+fn load_json(path: &str) -> Json {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format_args!("cannot read {path}: {e}")));
+    scale_out_processors::obs::json::parse(&text)
+        .unwrap_or_else(|e| fail(format_args!("{path} is not valid JSON: {e:?}")))
+}
+
+/// `--tol PCT` (default `default`) plus every `--tol-path PREFIX=PCT`
+/// rule, as a diff configuration.
+fn diff_config(args: &Args, default: f64) -> (f64, DiffConfig) {
+    let tol: f64 = args.num("--tol").unwrap_or(default);
+    let mut cfg = DiffConfig::with_tol(tol / 100.0);
+    for rule in args.values("--tol-path") {
+        let Some((prefix, pct)) = rule.split_once('=') else {
+            fail(format_args!("--tol-path needs PREFIX=PCT, got {rule:?}"));
+        };
+        let Ok(pct) = pct.parse::<f64>() else {
+            fail(format_args!("--tol-path {rule:?}: {pct:?} is not a number"));
+        };
+        cfg.rules.push((prefix.to_owned(), pct / 100.0));
+    }
+    (tol, cfg)
+}
+
+/// Prints the verdict on two documents `label` names, violations on
+/// stderr; true when they match.
+fn print_diff(label: &str, result: &DiffResult, tol: f64) -> bool {
+    if result.ok() {
+        println!(
+            "{label} match ({} values compared, tol {tol}%)",
+            result.compared
+        );
+    } else {
+        for v in &result.violations {
+            eprintln!("DIFF {v}");
         }
+        let n = result.violations.len();
+        eprintln!(
+            "{label} diverge: {n} violation(s) across {} compared values",
+            result.compared
+        );
     }
+    result.ok()
 }
 
-/// The value following `flag`, if the flag is present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    let i = args.iter().position(|a| a == flag)?;
-    args.get(i + 1)
-}
-
-/// The number following `flag`, or `None` when the flag is absent. A
-/// missing or malformed value exits 2 naming the flag and the value, so
-/// a typo never runs silently with the default.
-fn num_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter().position(|a| a == flag)?;
-    let value = flag_value(args, flag).map_or("", String::as_str);
-    match value.parse() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("{flag}: {value:?} is not a valid number");
-            std::process::exit(2);
+/// Exits 1 after listing the engine's failed jobs, if any.
+fn exit_on_failures(cmd: &str, exec: &Exec) {
+    let failures = exec.failures();
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("{cmd}: job failed: {} ({})", f.name, f.error);
         }
+        std::process::exit(1);
     }
-}
-
-/// The engine flags (`--jobs`, `--retries`, ...); a malformed value exits
-/// 2 naming the flag and the value.
-fn exec_config(args: &[String]) -> ExecConfig {
-    ExecConfig::from_args(args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    })
-}
-
-/// Prints the usage summary to stderr and exits with `code`.
-fn usage(code: i32) -> ! {
-    eprintln!("usage: sop pod <ooo|io> [--node 40|20]");
-    eprintln!("       sop chip <design> [--node 40|20]");
-    eprintln!("       sop dc <design> [--mem GB]");
-    eprintln!("       sop stack <ooo|io> <dies> [--fixed-distance]");
-    eprintln!(
-        "       sop trace <workload> [--topo mesh|fbfly|nocout] [--out FILE] [--quick] \
-         [--analyze] [--sample N] [--cores N]"
-    );
-    eprintln!("       sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]");
-    eprintln!(
-        "       sop sweep <ch2|ch3|ch4|ch5|ch6|degradation|all> [--jobs N] [--no-cache] \
-         [--resume] [--json FILE] [--quick] [--stable] [--no-heartbeat]"
-    );
-    eprintln!(
-        "       sop fleet [--servers N] [--policy drain|derate] [--org NAME] [--seed S] \
-         [--quick] [--jobs N] [--no-cache] [--resume] [--json FILE] [--stable] [--no-heartbeat] \
-         [--series]"
-    );
-    eprintln!(
-        "       sop fleet --resilience [--topology flat|rack|wide] \
-         [--retry none|naive|backoff|hedge] [--shed on|off] [--storm] [--slo] [...]"
-    );
-    eprintln!(
-        "       sop slo <report.json> [--target PCT] [--latency-ms N] [--latency-target PCT] \
-         [--ascii-sparkline]"
-    );
-    eprintln!(
-        "       sop bench [--quick] [--jobs N] [--only ch3[,ch4...]] \
-         [--json FILE] [--baseline FILE] [--tol PCT]"
-    );
-    eprintln!(
-        "       sop prof [<workload>] [--topo mesh|fbfly|nocout] [--quick] [--cores N] \
-         [--json FILE]"
-    );
-    eprintln!("       sop prof --analyze <a.json> [b.json] [--tol PCT] [--tol-path PREFIX=PCT]");
-    eprintln!("       sop top [--file PATH] [--once] [--interval-ms N]");
-    eprintln!("       sop metrics <report.json> [--text]");
-    eprintln!("       sop cache [--dir DIR]");
-    eprintln!("       sop list");
-    std::process::exit(code);
 }
 
 /// Runs a named experiment campaign on the execution engine and writes
 /// its data as a `sop-report/v1` document.
-fn sweep(args: &[String]) {
-    let name = args.get(1).map(String::as_str).unwrap_or("");
-    if !CAMPAIGNS.contains(&name) {
-        eprintln!("unknown campaign {name:?}; one of: {}", CAMPAIGNS.join(" "));
-        std::process::exit(2);
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let stable = args.iter().any(|a| a == "--stable");
-    let out = flag_value(args, "--json")
-        .cloned()
-        .unwrap_or_else(|| format!("sweep-{name}.json"));
-    let exec = Exec::new(exec_config(args));
+fn sweep(args: &Args) {
+    let name = args.positional(0).expect("arity checked");
+    let quick = args.switch("--quick");
+    let out = args
+        .value("--json")
+        .map_or_else(|| format!("sweep-{name}.json"), str::to_owned);
+    let exec = Exec::new(ExecConfig::from_cli(args));
 
     let mut spans = SpanLog::new();
     let data = spans.time(name, |_| {
@@ -224,11 +253,7 @@ fn sweep(args: &[String]) {
     report.set("quick", Json::from(quick));
     report.set("data", data);
     let doc = report.to_json(&spans, &metrics);
-    let doc = if stable { stabilized(&doc) } else { doc };
-    if let Err(e) = write_atomic(&out, &(doc.to_pretty_string() + "\n")) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    write_report(&out, &doc, args.switch("--stable"));
     let m = exec.metrics_snapshot();
     println!(
         "campaign {name}: {} points on {} worker(s)",
@@ -236,102 +261,59 @@ fn sweep(args: &[String]) {
         exec.workers()
     );
     println!("wrote {out}");
-    let failures = exec.failures();
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("sweep: job failed: {} ({})", f.name, f.error);
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures("sweep", &exec);
 }
 
-/// Simulates a fleet of SOP servers behind a load balancer through the
-/// execution engine and writes the result as a `sop-report/v1` document:
-/// one row per chip organization × repair policy with cost per sustained
-/// QPS and the tail-latency-vs-utilization curve. Every run is a pure,
-/// cacheable engine job; the report is byte-identical across worker
-/// counts.
-fn fleet(args: &[String]) {
+/// Simulates a fleet of SOP servers behind a load balancer and writes
+/// the report `sop_fleet::campaign_report` builds: one row per chip
+/// organization × repair policy, or with `--resilience` per topology ×
+/// retry policy × shedder arming (`--storm`: the committed PDU-outage
+/// pair, shedder off and on). The report is byte-identical across
+/// worker counts.
+fn fleet(args: &Args) {
     use scale_out_processors::fleet::{
-        fleet_points, grid, org_by_name, DomainTopology, Policy, RetryPolicy, ORGS,
+        campaign_report, grid, resilience_grid, storm_pair, Campaign, DomainTopology, Policy,
+        RetryPolicy, ORGS,
     };
-    let quick = args.iter().any(|a| a == "--quick");
-    let stable = args.iter().any(|a| a == "--stable");
-    let resilience = args.iter().any(|a| a == "--resilience");
-    let storm = args.iter().any(|a| a == "--storm");
-    let series = args.iter().any(|a| a == "--series");
-    let slo = args.iter().any(|a| a == "--slo");
-    let servers: u32 = num_flag(args, "--servers").unwrap_or(if quick { 64 } else { 256 });
+    let quick = args.switch("--quick");
+    let resilience = args.switch("--resilience");
+    let storm = args.switch("--storm");
+    let series = args.switch("--series");
+    let slo = args.switch("--slo");
+    let servers: u32 = args
+        .num("--servers")
+        .unwrap_or(if quick { 64 } else { 256 });
     if servers == 0 {
-        eprintln!("--servers must be at least 1");
-        std::process::exit(2);
+        fail("--servers must be at least 1");
     }
-    let seed: u64 = num_flag(args, "--seed").unwrap_or(42);
-    let org = flag_value(args, "--org").map(|name| {
-        if org_by_name(name).is_none() {
-            let known: Vec<&str> = ORGS.iter().map(|o| o.name).collect();
-            eprintln!("unknown organization {name:?}; one of: {}", known.join(" "));
-            std::process::exit(2);
-        }
-        name.as_str()
-    });
-    let policy = flag_value(args, "--policy").map(|label| {
-        Policy::from_label(label).unwrap_or_else(|| {
-            let known: Vec<&str> = Policy::ALL.iter().map(|p| p.label()).collect();
-            eprintln!("unknown policy {label:?}; one of: {}", known.join(" "));
-            std::process::exit(2);
-        })
-    });
-    let topology = flag_value(args, "--topology").map(|label| {
-        if DomainTopology::from_label(label).is_none() {
-            eprintln!(
-                "unknown topology {label:?}; one of: {}",
-                DomainTopology::labels().join(" ")
-            );
-            std::process::exit(2);
-        }
-        label.as_str()
-    });
-    let retry = flag_value(args, "--retry").map(|label| {
-        if RetryPolicy::from_label(label).is_none() {
-            eprintln!(
-                "unknown retry policy {label:?}; one of: {}",
-                RetryPolicy::labels().join(" ")
-            );
-            std::process::exit(2);
-        }
-        label.as_str()
-    });
-    let shed = flag_value(args, "--shed").map(|v| match v.as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            eprintln!("unknown --shed value {other:?}; one of: on off");
-            std::process::exit(2);
-        }
-    });
+    let seed: u64 = args.num("--seed").unwrap_or(42);
+    let orgs: Vec<&str> = ORGS.iter().map(|o| o.name).collect();
+    let org = args.choice("--org", &orgs);
+    let policies: Vec<&str> = Policy::ALL.iter().map(|p| p.label()).collect();
+    let policy = args
+        .choice("--policy", &policies)
+        .and_then(Policy::from_label);
+    let topology = args.choice("--topology", &DomainTopology::labels());
+    let retry = args.choice("--retry", &RetryPolicy::labels());
+    let shed = args.choice("--shed", &["on", "off"]).map(|v| v == "on");
     if !resilience && (storm || slo || topology.is_some() || retry.is_some() || shed.is_some()) {
-        eprintln!("--storm/--topology/--retry/--shed/--slo require --resilience");
-        std::process::exit(2);
+        fail("--storm/--topology/--retry/--shed/--slo require --resilience");
     }
     if resilience && series {
-        eprintln!("--series applies to the plain fleet sweep; use --slo with --resilience");
-        std::process::exit(2);
+        fail("--series applies to the plain fleet sweep; use --slo with --resilience");
     }
-    if let (true, Some(label)) = (resilience, flag_value(args, "--policy")) {
-        eprintln!(
+    if let (true, Some(label)) = (resilience, args.value("--policy")) {
+        fail(format_args!(
             "--policy {label:?} applies to the plain fleet sweep; \
              resilience runs always derate damaged servers"
-        );
-        std::process::exit(2);
+        ));
     }
-    let out = flag_value(args, "--json").cloned().unwrap_or_else(|| {
-        if resilience {
-            "resilience.json".to_owned()
-        } else {
-            "fleet.json".to_owned()
-        }
-    });
+    if storm && (topology.is_some() || retry.is_some()) {
+        fail("the storm scenario pins --topology rack --retry naive");
+    }
+    let kind = if resilience { "resilience" } else { "fleet" };
+    let default_out = format!("{kind}.json");
+    let out = args.value("--json").unwrap_or(&default_out);
     // Heartbeat job_finish events carry the fleet tick counter so
     // `sop top` can report simulated-hours per second, and the SLO
     // alert counters so it can render live alert state when a run arms
@@ -342,82 +324,66 @@ fn fleet(args: &[String]) {
     scale_out_processors::exec::heartbeat::set_slo_source(
         scale_out_processors::fleet::slo_alert_state,
     );
-    let exec = Exec::new(exec_config(args));
+    let exec = Exec::new(ExecConfig::from_cli(args));
 
-    if resilience {
-        resilience_fleet(
-            &exec, &out, stable, servers, seed, quick, org, topology, retry, shed, storm, slo,
-        );
-        let failures = exec.failures();
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("fleet: job failed: {} ({})", f.name, f.error);
+    let config = Json::object()
+        .with("servers", servers)
+        .with("seed", seed)
+        .with("org", org.map_or(Json::Null, Json::from));
+    let (campaign, config) = if resilience {
+        let mut specs = if storm {
+            let mut pair = storm_pair(org.unwrap_or("scaleout-ooo"), servers, seed, quick);
+            if let Some(want) = shed {
+                pair.retain(|s| s.shed == want);
             }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let mut specs = grid(servers, seed, quick, org, policy);
-    if series {
+            pair
+        } else {
+            resilience_grid(servers, seed, quick, org, topology, retry, shed)
+        };
+        // `--slo` arms the monitoring plane on the ambient sweep; the
+        // storm pair arms it unconditionally (it is the committed
+        // detection benchmark). Arming is part of the spec identity, so
+        // names and cache keys are computed after it.
         for spec in &mut specs {
-            spec.series = true;
+            spec.slo |= slo;
         }
-    }
-    let names: Vec<String> = specs.iter().map(|s| s.name()).collect();
-    let mut spans = SpanLog::new();
-    let mut rows = spans.time("fleet", |_| fleet_points(&exec, "fleet", &specs));
-
-    // Deterministic fleet aggregates (summed from the rows, so cached
-    // and fresh evaluations export identical values) plus the engine's
-    // own counters.
-    let mut metrics = Registry::new();
-    let total_of = |row: &Json, key: &str| {
-        row.get("totals")
-            .and_then(|t| t.get(key))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0) as u64
+        let config = config
+            .with("topology", topology.map_or(Json::Null, Json::from))
+            .with("retry", retry.map_or(Json::Null, Json::from))
+            .with("shed", shed.map_or(Json::Null, Json::Bool))
+            .with("storm", storm);
+        (Campaign::Resilience(specs), config)
+    } else {
+        let mut specs = grid(servers, seed, quick, org, policy);
+        for spec in &mut specs {
+            spec.series |= series;
+        }
+        let policy = policy.map_or(Json::Null, |p| Json::from(p.label()));
+        (Campaign::Plain(specs), config.with("policy", policy))
     };
-    for row in &rows {
-        metrics.counter_add("fleet.requests.offered", total_of(row, "offered"));
-        metrics.counter_add("fleet.requests.served", total_of(row, "served"));
-        metrics.counter_add("fleet.requests.dropped", total_of(row, "dropped"));
+    let report = campaign_report(&exec, &campaign, quick, servers, config);
+    write_report(out, &report.doc, args.switch("--stable"));
+    if resilience {
+        print_resilience_rows(&report.rows);
+    } else {
+        print_fleet_rows(&report.rows);
     }
-    metrics.gauge_set("fleet.points", rows.len() as f64);
-    metrics.gauge_set("fleet.servers", f64::from(servers));
-    metrics.merge(&exec.metrics_snapshot());
-
-    let mut report = Report::new("fleet", "Scale-Out Processors: fleet simulation");
-    report.set("campaign", Json::from("fleet"));
-    report.set("quick", Json::from(quick));
-    report.set(
-        "config",
-        Json::object()
-            .with("servers", servers)
-            .with("seed", seed)
-            .with("org", org.map_or(Json::Null, Json::from))
-            .with(
-                "policy",
-                policy.map_or(Json::Null, |p| Json::from(p.label())),
-            ),
+    println!(
+        "{kind}: {} point(s), {servers} server(s), seed {seed} on {} worker(s)",
+        report.rows.len(),
+        exec.workers()
     );
-    let telemetry = lift_series(&mut rows, &names);
-    report.set("fleet", Json::Arr(rows.clone()));
-    if let Some(section) = telemetry {
-        report.set("series", section);
-    }
-    let doc = report.to_json(&spans, &metrics);
-    let doc = if stable { stabilized(&doc) } else { doc };
-    if let Err(e) = write_atomic(&out, &(doc.to_pretty_string() + "\n")) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    println!("wrote {out}");
+    exit_on_failures("fleet", &exec);
+}
 
+/// The plain fleet table: one line per organization × policy.
+fn print_fleet_rows(rows: &[Json]) {
     println!(
         "{:<14} {:<7} {:>9} {:>7} {:>7} {:>7} {:>12}",
         "org", "policy", "sust.qps", "p50ms", "p99ms", "drop%", "$/k-qps/mo"
     );
-    for row in &rows {
+    for row in rows {
         let s = |k: &str| row.get(k).and_then(Json::as_str).unwrap_or("?").to_owned();
         if row.get("failed").is_some() {
             println!("{:<14} {:<7} FAILED", s("org"), s("policy"));
@@ -442,130 +408,16 @@ fn fleet(args: &[String]) {
             cost
         );
     }
-    println!(
-        "fleet: {} point(s), {} server(s), seed {seed} on {} worker(s)",
-        rows.len(),
-        servers,
-        exec.workers()
-    );
-    println!("wrote {out}");
-    let failures = exec.failures();
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("fleet: job failed: {} ({})", f.name, f.error);
-        }
-        std::process::exit(1);
-    }
 }
 
-/// The `sop fleet --resilience` path: the fleet simulation with
-/// correlated failure domains, retrying/hedging clients, health-checked
-/// balancing, and the adaptive overload shedder. Without `--storm` it
-/// sweeps topology × retry policy × shedder arming (narrowed by the
-/// flags); with `--storm` it runs the committed PDU-outage pair — naive
-/// retries with the shedder off (retry-storm collapse) and on (bounded
-/// brownout).
-#[allow(clippy::too_many_arguments)]
-fn resilience_fleet(
-    exec: &Exec,
-    out: &str,
-    stable: bool,
-    servers: u32,
-    seed: u64,
-    quick: bool,
-    org: Option<&str>,
-    topology: Option<&str>,
-    retry: Option<&str>,
-    shed: Option<bool>,
-    storm: bool,
-    slo: bool,
-) {
-    use scale_out_processors::fleet::{
-        add_slo_metrics, resilience_grid, resilience_points, storm_pair,
-    };
-    let mut specs = if storm {
-        if topology.is_some() || retry.is_some() {
-            eprintln!("the storm scenario pins --topology rack --retry naive");
-            std::process::exit(2);
-        }
-        let mut pair = storm_pair(org.unwrap_or("scaleout-ooo"), servers, seed, quick);
-        if let Some(want) = shed {
-            pair.retain(|s| s.shed == want);
-        }
-        pair
-    } else {
-        resilience_grid(servers, seed, quick, org, topology, retry, shed)
-    };
-    // `--slo` arms the monitoring plane on the ambient sweep; the storm
-    // pair arms it unconditionally (it is the committed detection
-    // benchmark). Arming is part of the spec identity, so names and
-    // cache keys are computed after it.
-    if slo {
-        for spec in &mut specs {
-            spec.slo = true;
-        }
-    }
-    let names: Vec<String> = specs.iter().map(|s| s.name()).collect();
-    let mut spans = SpanLog::new();
-    let mut rows = spans.time("resilience", |_| {
-        resilience_points(exec, "resilience", &specs)
-    });
-
-    // Deterministic resilience aggregates summed from the rows (cached
-    // and fresh evaluations export identical values), under the same
-    // `fleet.resilience.*` names each run's own registry uses, plus the
-    // engine's counters. CI greps `fleet.resilience.shed` here.
-    let mut metrics = Registry::new();
-    let total_of = |row: &Json, key: &str| {
-        row.get("totals")
-            .and_then(|t| t.get(key))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0) as u64
-    };
-    for row in &rows {
-        for key in ["offered", "issued", "retries", "hedges", "goodput", "shed"] {
-            metrics.counter_add(&format!("fleet.resilience.{key}"), total_of(row, key));
-        }
-    }
-    metrics.gauge_set("fleet.resilience.points", rows.len() as f64);
-    metrics.gauge_set("fleet.servers", f64::from(servers));
-    // Burn-rate detection metrics (`metrics.slo.*`) — exact replays of
-    // the rows' embedded analyses, so cached and fresh evaluations
-    // export identical values. No-op when no row armed a spec.
-    add_slo_metrics(&rows, &mut metrics);
-    metrics.merge(&exec.metrics_snapshot());
-
-    let mut report = Report::new("fleet", "Scale-Out Processors: fleet resilience simulation");
-    report.set("campaign", Json::from("resilience"));
-    report.set("quick", Json::from(quick));
-    report.set(
-        "config",
-        Json::object()
-            .with("servers", servers)
-            .with("seed", seed)
-            .with("org", org.map_or(Json::Null, Json::from))
-            .with("topology", topology.map_or(Json::Null, Json::from))
-            .with("retry", retry.map_or(Json::Null, Json::from))
-            .with("shed", shed.map_or(Json::Null, Json::Bool))
-            .with("storm", storm),
-    );
-    let telemetry = lift_series(&mut rows, &names);
-    report.set("resilience", Json::Arr(rows.clone()));
-    if let Some(section) = telemetry {
-        report.set("series", section);
-    }
-    let doc = report.to_json(&spans, &metrics);
-    let doc = if stable { stabilized(&doc) } else { doc };
-    if let Err(e) = write_atomic(out, &(doc.to_pretty_string() + "\n")) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-
+/// The resilience table: one line per row, then one detection line per
+/// row that armed the SLO plane.
+fn print_resilience_rows(rows: &[Json]) {
     println!(
         "{:<14} {:<5} {:<7} {:<5} {:<5} {:>7} {:>6} {:>11} {:>12}",
         "org", "topo", "retry", "shed", "storm", "avail%", "amp", "goodput", "$/k-qps/mo"
     );
-    for row in &rows {
+    for row in rows {
         let s = |k: &str| row.get(k).and_then(Json::as_str).unwrap_or("?").to_owned();
         if row.get("failed").is_some() {
             println!(
@@ -601,7 +453,7 @@ fn resilience_fleet(
             cost
         );
     }
-    for row in &rows {
+    for row in rows {
         let Some(analysis) = row
             .get("slo")
             .and_then(Json::as_arr)
@@ -632,96 +484,29 @@ fn resilience_fleet(
                 }),
         );
     }
-    println!(
-        "resilience: {} point(s), {} server(s), seed {seed} on {} worker(s)",
-        rows.len(),
-        servers,
-        exec.workers()
-    );
-    println!("wrote {out}");
-}
-
-/// Lifts each row's embedded `series` object — present only when the
-/// run armed telemetry — out of the row and into a self-contained
-/// top-level `series` section entry: the series set plus the scripted
-/// cause and repair timing `sop slo` needs to replay the burn-rate
-/// analysis offline. Returns `None` (no section, zero new report keys)
-/// when no row carried telemetry.
-fn lift_series(rows: &mut [Json], names: &[String]) -> Option<Json> {
-    let mut entries = Vec::new();
-    for (row, name) in rows.iter_mut().zip(names) {
-        let Json::Obj(members) = row else { continue };
-        let Some(pos) = members.iter().position(|(key, _)| key == "series") else {
-            continue;
-        };
-        let (_, set) = members.remove(pos);
-        let mut entry = Json::object().with("name", name.as_str());
-        if let Some(st) = row.get("storm_stats") {
-            entry = entry.with(
-                "cause",
-                Json::object()
-                    .with("label", "storm")
-                    .with(
-                        "start_tick",
-                        st.get("start_tick").cloned().unwrap_or(Json::Null),
-                    )
-                    .with(
-                        "repair_tick",
-                        st.get("end_tick").cloned().unwrap_or(Json::Null),
-                    ),
-            );
-        }
-        if let Some(ttr) = row.get("ttr_ticks") {
-            entry = entry.with("ttr_ticks", ttr.clone());
-        }
-        entries.push(entry.with("series", set));
-    }
-    if entries.is_empty() {
-        None
-    } else {
-        Some(Json::Arr(entries))
-    }
 }
 
 /// The `sop slo` subcommand: replays the multi-window, multi-burn-rate
 /// SLO analysis over a report's `series` section — no simulation runs,
 /// the exact-integer series are reloaded and the burn engine re-derives
-/// the incident timeline, detection tick, and TTD. `--target` sets the
-/// availability objective (default 99.9%); `--latency-ms N` adds a
-/// latency objective at `--latency-target` (default 99%);
-/// `--ascii-sparkline` renders the per-window goodness ratio.
-fn slo_cmd(args: &[String]) {
+/// the incident timeline, detection tick, and TTD.
+fn slo_cmd(args: &Args) {
     use scale_out_processors::obs::slo::evaluate;
     use scale_out_processors::obs::{BurnRule, ScriptedCause, SeriesSet, SloSpec};
 
-    let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!(
-            "usage: sop slo <report.json> [--target PCT] [--latency-ms N] \
-             [--latency-target PCT] [--ascii-sparkline]"
-        );
-        std::process::exit(2);
-    };
+    let path = args.positional(0).expect("arity checked");
     let pct = |flag: &str, default: f64| -> f64 {
-        let v: f64 = num_flag(args, flag).unwrap_or(default);
+        let v: f64 = args.num(flag).unwrap_or(default);
         if v <= 0.0 || v >= 100.0 {
-            eprintln!("{flag} must be a percentage in (0, 100)");
-            std::process::exit(2);
+            fail(format_args!("{flag} must be a percentage in (0, 100)"));
         }
         v / 100.0
     };
     let target = pct("--target", 99.9);
-    let latency_ms: Option<u64> = num_flag(args, "--latency-ms");
+    let latency_ms: Option<u64> = args.num("--latency-ms");
     let latency_target = pct("--latency-target", 99.0);
-    let sparkline = args.iter().any(|a| a == "--ascii-sparkline");
-
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = scale_out_processors::obs::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{path} is not valid JSON: {e:?}");
-        std::process::exit(2);
-    });
+    let sparkline = args.switch("--ascii-sparkline");
+    let doc = load_json(path);
     let Some(entries) = doc
         .get("sections")
         .and_then(|s| s.get("series"))
@@ -852,8 +637,9 @@ fn print_slo_analysis(a: &scale_out_processors::obs::SloAnalysis, ttr: Option<f6
 /// Audits the on-disk result cache: every entry re-validated against its
 /// content hash, stray `*.tmp.*` debris and foreign files called out.
 /// Exits non-zero if anything but valid entries is found.
-fn cache(args: &[String]) {
-    let dir = flag_value(args, "--dir")
+fn cache(args: &Args) {
+    let dir = args
+        .value("--dir")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(scale_out_processors::exec::default_cache_dir);
     let audit = match audit_dir(&dir) {
@@ -887,36 +673,26 @@ fn cache(args: &[String]) {
 /// document. The run is appended to the `history` array carried forward
 /// from the previous document at the output path (commit, date, per-tier
 /// Mcycles/s), and the engine registry populates the report's top-level
-/// `metrics`. The output defaults to `bench.json`; the committed history
-/// `BENCH_sim.json` is written only when named with `--json`. With
-/// `--baseline FILE` the run becomes a regression gate: any campaign
-/// more than `--tol` percent (default 25) slower than the baseline
-/// document's latest history entry fails the command.
-fn bench(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs: usize = num_flag(args, "--jobs").unwrap_or(0);
-    let only_arg = flag_value(args, "--only").cloned();
-    let only: Option<Vec<&str>> = only_arg.as_deref().map(|list| {
-        list.split(',')
-            .map(|name| {
-                BENCH_CAMPAIGNS
-                    .iter()
-                    .copied()
-                    .find(|c| *c == name)
-                    .unwrap_or_else(|| {
-                        eprintln!(
-                            "unknown bench campaign {name:?}; one of: {}",
-                            BENCH_CAMPAIGNS.join(" ")
-                        );
-                        std::process::exit(2);
-                    })
-            })
-            .collect()
+/// `metrics`. The committed history `BENCH_sim.json` is written only
+/// when named with `--json`. With `--baseline` the run becomes a
+/// regression gate against the baseline's latest history entry.
+fn bench(args: &Args) {
+    let quick = args.switch("--quick");
+    let jobs: usize = args.num("--jobs").unwrap_or(0);
+    let only: Option<Vec<&str>> = args.value("--only").map(|list| {
+        let only: Vec<&str> = list.split(',').collect();
+        if let Some(name) = only.iter().find(|n| !BENCH_CAMPAIGNS.contains(n)) {
+            let valid = BENCH_CAMPAIGNS.join(" ");
+            fail(format_args!(
+                "unknown bench campaign {name:?}; one of: {valid}"
+            ));
+        }
+        only
     });
-    let out = flag_value(args, "--json")
-        .cloned()
-        .unwrap_or_else(|| "bench.json".to_owned());
-    let tol: f64 = num_flag(args, "--tol").unwrap_or(25.0);
+    let out = args.value("--json").unwrap_or("bench.json");
+    let tol: f64 = args.num("--tol").unwrap_or(25.0);
+    // Read before the run, so a bad baseline fails before minutes of timing.
+    let baseline = args.value("--baseline").map(|path| (path, load_json(path)));
 
     let mut spans = SpanLog::new();
     let (mut data, metrics) = spans.time("bench", |_| {
@@ -924,7 +700,7 @@ fn bench(args: &[String]) {
     });
     // Carry the bench trajectory forward from the previous document at
     // the output path, then append this run.
-    let previous = std::fs::read_to_string(&out)
+    let previous = std::fs::read_to_string(out)
         .ok()
         .and_then(|text| scale_out_processors::obs::json::parse(&text).ok());
     let entry = history_entry(&data, &commit_hash(), &today_utc());
@@ -932,10 +708,7 @@ fn bench(args: &[String]) {
     let mut report = Report::new("bench", "Scale-Out Processors: simulator benchmarks");
     report.set("bench", data.clone());
     let doc = report.to_json(&spans, &metrics);
-    if let Err(e) = write_atomic(&out, &(doc.to_pretty_string() + "\n")) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    write_report(out, &doc, false);
     for row in data.get("campaigns").and_then(Json::as_arr).unwrap_or(&[]) {
         let name = row.get("campaign").and_then(Json::as_str).unwrap_or("?");
         let wall = row.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
@@ -955,15 +728,7 @@ fn bench(args: &[String]) {
     }
     println!("wrote {out}");
 
-    if let Some(path) = flag_value(args, "--baseline") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let base = scale_out_processors::obs::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("baseline {path} is not valid JSON: {e:?}");
-            std::process::exit(1);
-        });
+    if let Some((path, base)) = baseline {
         let violations = check_regression(&doc, &base, tol);
         if violations.is_empty() {
             println!("bench within {tol:.0}% of {path}");
@@ -976,69 +741,63 @@ fn bench(args: &[String]) {
     }
 }
 
-fn core_kind(args: &[String]) -> CoreKind {
-    match args.get(1).map(String::as_str) {
-        Some("ooo") => CoreKind::OutOfOrder,
+fn core_kind(args: &Args) -> CoreKind {
+    match args.positional(0) {
         Some("io") => CoreKind::InOrder,
         Some("conv") => CoreKind::Conventional,
-        _ => {
-            eprintln!("expected a core type: ooo | io | conv");
-            std::process::exit(2);
-        }
+        _ => CoreKind::OutOfOrder,
     }
 }
 
-fn node(args: &[String]) -> TechnologyNode {
-    match flag_value(args, "--node") {
-        Some(v) if v == "20" => TechnologyNode::N20,
-        Some(v) if v == "32" => TechnologyNode::N32,
+fn node(args: &Args) -> TechnologyNode {
+    match args.choice("--node", &["40", "32", "20"]) {
+        Some("32") => TechnologyNode::N32,
+        Some("20") => TechnologyNode::N20,
         _ => TechnologyNode::N40,
     }
 }
 
-fn design(args: &[String]) -> DesignKind {
-    let name = args.get(1).map(String::as_str).unwrap_or("");
-    let all = roster();
-    all.iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, d)| *d)
-        .unwrap_or_else(|| {
-            eprintln!("unknown design {name:?}; try `sop list`");
-            std::process::exit(2);
-        })
+fn design(args: &Args) -> DesignKind {
+    let name = args.positional(0).expect("arity checked");
+    let found = DESIGNS.iter().find(|(n, _)| *n == name);
+    found.map(|(_, d)| *d).unwrap_or_else(|| {
+        let known: Vec<&str> = DESIGNS.iter().map(|(n, _)| *n).collect();
+        fail(format_args!(
+            "unknown design {name:?}; one of: {}",
+            known.join(" ")
+        ))
+    })
 }
 
-fn roster() -> Vec<(&'static str, DesignKind)> {
-    vec![
-        ("conventional", DesignKind::Conventional),
-        ("tiled-ooo", DesignKind::Tiled(CoreKind::OutOfOrder)),
-        ("tiled-io", DesignKind::Tiled(CoreKind::InOrder)),
-        (
-            "llcopt-ooo",
-            DesignKind::LlcOptimalTiled(CoreKind::OutOfOrder),
-        ),
-        ("llcopt-io", DesignKind::LlcOptimalTiled(CoreKind::InOrder)),
-        (
-            "ir-ooo",
-            DesignKind::LlcOptimalTiledIr(CoreKind::OutOfOrder),
-        ),
-        ("ir-io", DesignKind::LlcOptimalTiledIr(CoreKind::InOrder)),
-        ("ideal-ooo", DesignKind::Ideal(CoreKind::OutOfOrder)),
-        ("ideal-io", DesignKind::Ideal(CoreKind::InOrder)),
-        ("1pod-ooo", DesignKind::OnePod(CoreKind::OutOfOrder)),
-        ("1pod-io", DesignKind::OnePod(CoreKind::InOrder)),
-        ("scaleout-ooo", DesignKind::ScaleOut(CoreKind::OutOfOrder)),
-        ("scaleout-io", DesignKind::ScaleOut(CoreKind::InOrder)),
-    ]
-}
+const DESIGNS: [(&str, DesignKind); 13] = [
+    ("conventional", DesignKind::Conventional),
+    ("tiled-ooo", DesignKind::Tiled(CoreKind::OutOfOrder)),
+    ("tiled-io", DesignKind::Tiled(CoreKind::InOrder)),
+    (
+        "llcopt-ooo",
+        DesignKind::LlcOptimalTiled(CoreKind::OutOfOrder),
+    ),
+    ("llcopt-io", DesignKind::LlcOptimalTiled(CoreKind::InOrder)),
+    (
+        "ir-ooo",
+        DesignKind::LlcOptimalTiledIr(CoreKind::OutOfOrder),
+    ),
+    ("ir-io", DesignKind::LlcOptimalTiledIr(CoreKind::InOrder)),
+    ("ideal-ooo", DesignKind::Ideal(CoreKind::OutOfOrder)),
+    ("ideal-io", DesignKind::Ideal(CoreKind::InOrder)),
+    ("1pod-ooo", DesignKind::OnePod(CoreKind::OutOfOrder)),
+    ("1pod-io", DesignKind::OnePod(CoreKind::InOrder)),
+    ("scaleout-ooo", DesignKind::ScaleOut(CoreKind::OutOfOrder)),
+    ("scaleout-io", DesignKind::ScaleOut(CoreKind::InOrder)),
+];
 
-fn list() {
-    for (name, _) in roster() {
+fn list(_: &Args) {
+    for (name, _) in DESIGNS {
         println!("{name}");
     }
 }
 
-fn pod(args: &[String]) {
+fn pod(args: &Args) {
     let kind = core_kind(args);
     let node = node(args);
     let space = PodSearchSpace::thesis_chapter3(kind, node);
@@ -1055,7 +814,7 @@ fn pod(args: &[String]) {
     );
 }
 
-fn chip(args: &[String]) {
+fn chip(args: &Args) {
     let d = design(args);
     let node = node(args);
     let c = reference_chip(d, node);
@@ -1069,9 +828,9 @@ fn chip(args: &[String]) {
     println!("  perf/W            {:.3}", c.perf_per_watt);
 }
 
-fn dc(args: &[String]) {
+fn dc(args: &Args) {
     let d = design(args);
-    let mem: u32 = num_flag(args, "--mem").unwrap_or(64);
+    let mem: u32 = args.num("--mem").unwrap_or(64);
     let params = TcoParams::thesis();
     let dc = Datacenter::for_design(d, &params, mem);
     println!(
@@ -1092,43 +851,23 @@ fn dc(args: &[String]) {
 /// Runs a 64-core pod with transaction tracing on and writes the event
 /// log in Chrome trace format (load it at `chrome://tracing` or in
 /// Perfetto). One simulated cycle maps to one microsecond. Sampled
-/// transactions appear as per-component `txn.hop` lanes; `--analyze`
-/// additionally prints the per-stage latency breakdown table. `--cores N`
-/// runs the chapter-3 validation point instead of the full 64-core pod.
-fn trace(args: &[String]) {
-    let name = args.get(1).map(String::as_str).unwrap_or("websearch");
-    let workload = workload_by_name(name);
-    let topo = topology_arg(args);
-    let out = flag_value(args, "--out")
-        .cloned()
-        .unwrap_or_else(|| "trace.json".to_owned());
-    let (warm, measure) = if args.iter().any(|a| a == "--quick") {
-        (1_000, 2_000)
-    } else {
-        (4_000, 8_000)
-    };
-    let sample: u64 = num_flag(args, "--sample").unwrap_or(1);
+/// transactions appear as per-component `txn.hop` lanes.
+fn trace(args: &Args) {
+    let (cfg, point, warm, measure) = pod_window(args);
+    let process = format!("{point} {:?} {:?}", cfg.workload, cfg.noc.topology);
+    let out = args.value("--out").unwrap_or("trace.json");
+    let sample: u64 = args.num("--sample").unwrap_or(1);
     if sample == 0 {
-        eprintln!("--sample must be at least 1");
-        std::process::exit(2);
+        fail("--sample must be at least 1");
     }
-    let cores: Option<u32> = num_flag(args, "--cores");
-    let (cfg, point) = match cores {
-        Some(n) => (
-            SimConfig::validation(workload, n, topo),
-            format!("validation_{n}"),
-        ),
-        None => (SimConfig::pod_64(workload, topo), "pod_64".to_owned()),
-    };
 
     let mut machine = Machine::new(cfg);
     machine.enable_tracing(1 << 16);
     machine.enable_txn_tracing(sample);
     let result = machine.run_window(warm, measure);
     let log = machine.event_log().expect("tracing was enabled");
-    let process = format!("{point} {workload:?} {topo:?}");
     let trace = log.to_chrome_trace(&process);
-    if let Err(e) = write_atomic(&out, &(trace.to_compact_string() + "\n")) {
+    if let Err(e) = write_atomic(out, &(trace.to_compact_string() + "\n")) {
         eprintln!("cannot write {out}: {e}");
         std::process::exit(1);
     }
@@ -1139,7 +878,7 @@ fn trace(args: &[String]) {
         result.aggregate_ipc()
     );
     println!("wrote {out}");
-    if args.iter().any(|a| a == "--analyze") {
+    if args.switch("--analyze") {
         let breakdown = TxnBreakdown::from_registry(&result.metrics)
             .expect("transaction tracing was armed, sim.txn.total is exported");
         println!();
@@ -1150,8 +889,34 @@ fn trace(args: &[String]) {
     }
 }
 
+/// The pod window `trace` and `prof` simulate — the workload positional
+/// (default websearch) on the `--topo` NOC, the 64-core pod or the
+/// `--cores N` validation point — with its name and its warm-up and
+/// measured cycles (`--quick` shortens both).
+fn pod_window(args: &Args) -> (SimConfig, String, u64, u64) {
+    let workload = workload_by_name(args.positional(0).unwrap_or("websearch"));
+    let topo = match args.choice("--topo", &["mesh", "fbfly", "nocout"]) {
+        Some("mesh") => TopologyKind::Mesh,
+        Some("fbfly") => TopologyKind::FlattenedButterfly,
+        _ => TopologyKind::NocOut,
+    };
+    let (warm, measure) = if args.switch("--quick") {
+        (1_000, 2_000)
+    } else {
+        (4_000, 8_000)
+    };
+    let (cfg, point) = match args.num::<u32>("--cores") {
+        Some(n) => (
+            SimConfig::validation(workload, n, topo),
+            format!("validation_{n}"),
+        ),
+        None => (SimConfig::pod_64(workload, topo), "pod_64".to_owned()),
+    };
+    (cfg, point, warm, measure)
+}
+
 /// Resolves a workload by its debug name or label (case- and
-/// punctuation-insensitive), exiting with usage help when unknown.
+/// punctuation-insensitive), exiting with the valid set when unknown.
 fn workload_by_name(name: &str) -> Workload {
     Workload::ALL
         .iter()
@@ -1163,25 +928,12 @@ fn workload_by_name(name: &str) -> Workload {
             debug == wanted || label == wanted
         })
         .unwrap_or_else(|| {
-            eprintln!("unknown workload {name:?}; one of:");
-            for w in Workload::ALL {
-                eprintln!("  {:?}", w);
-            }
-            std::process::exit(2);
+            let known: Vec<String> = Workload::ALL.iter().map(|w| format!("{w:?}")).collect();
+            fail(format_args!(
+                "unknown workload {name:?}; one of: {}",
+                known.join(" ")
+            ))
         })
-}
-
-/// Parses `--topo mesh|fbfly|nocout` (default NOC-Out).
-fn topology_arg(args: &[String]) -> TopologyKind {
-    match flag_value(args, "--topo").map(String::as_str) {
-        Some("mesh") => TopologyKind::Mesh,
-        Some("fbfly") => TopologyKind::FlattenedButterfly,
-        None | Some("nocout") => TopologyKind::NocOut,
-        Some(other) => {
-            eprintln!("unknown topology {other:?}: mesh | fbfly | nocout");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// Runs a self-profiled pod window and prints the host-side component
@@ -1191,38 +943,17 @@ fn topology_arg(args: &[String]) -> TopologyKind {
 /// `prof` section plus raw `prof.*` counters in `metrics` — is written
 /// as a `sop-report/v1` document. Exits 1 if the attributed self-times
 /// exceed the measured advance wall (a profiler bug, not a model bug).
-///
-/// With `--analyze FILE [FILE2]` no simulation runs: the table is
-/// re-rendered from the report's metrics, and a second file is diffed
-/// against the first under `sop diff` tolerance rules.
-fn prof(args: &[String]) {
-    if args.iter().any(|a| a == "--analyze") {
-        prof_analyze(args);
-        return;
+/// With `--analyze` no simulation runs ([`prof_analyze`]).
+fn prof(args: &Args) {
+    match (args.switch("--analyze"), args.positionals().len()) {
+        (true, 1 | 2) => return prof_analyze(args),
+        (true, _) => fail("sop prof: --analyze needs <a.json> [b.json]"),
+        (false, 2) => fail("sop prof: one workload, or --analyze <a.json> [b.json]"),
+        (false, _) => {}
     }
-    let name = args
-        .get(1)
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .unwrap_or("websearch");
-    let workload = workload_by_name(name);
-    let topo = topology_arg(args);
-    let (warm, measure) = if args.iter().any(|a| a == "--quick") {
-        (1_000, 2_000)
-    } else {
-        (4_000, 8_000)
-    };
-    let cores: Option<u32> = num_flag(args, "--cores");
-    let out = flag_value(args, "--json")
-        .cloned()
-        .unwrap_or_else(|| "prof.json".to_owned());
-    let (cfg, point) = match cores {
-        Some(n) => (
-            SimConfig::validation(workload, n, topo),
-            format!("validation_{n}"),
-        ),
-        None => (SimConfig::pod_64(workload, topo), "pod_64".to_owned()),
-    };
+    let (cfg, point, warm, measure) = pod_window(args);
+    let (workload, topo) = (cfg.workload, cfg.noc.topology);
+    let out = args.value("--json").unwrap_or("prof.json");
 
     let mut machine = Machine::new(cfg);
     machine.enable_profiling();
@@ -1241,11 +972,7 @@ fn prof(args: &[String]) {
             .with("measure", measure),
     );
     report.set("prof", breakdown.to_json());
-    let doc = report.to_json(&spans, &result.metrics);
-    if let Err(e) = write_atomic(&out, &(doc.to_pretty_string() + "\n")) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    write_report(out, &report.to_json(&spans, &result.metrics), false);
     print!("{}", breakdown.render());
     println!("wrote {out}");
     if !breakdown.consistent() {
@@ -1257,105 +984,55 @@ fn prof(args: &[String]) {
 /// one or two report documents' `prof.*` metrics; with two, diffs the
 /// `prof` sections under `--tol`/`--tol-path` (default 25% — host
 /// timings are noisy).
-fn prof_analyze(args: &[String]) {
-    let at = args
-        .iter()
-        .position(|a| a == "--analyze")
-        .expect("checked by caller");
-    let files: Vec<&String> = args[at + 1..]
-        .iter()
-        .take_while(|a| !a.starts_with("--"))
-        .collect();
-    if files.is_empty() || files.len() > 2 {
-        eprintln!("usage: sop prof --analyze <a.json> [b.json] [--tol PCT] [--tol-path P=PCT]");
-        std::process::exit(2);
-    }
-    let load = |path: &str| -> Json {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        scale_out_processors::obs::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{path} is not valid JSON: {e:?}");
-            std::process::exit(2);
-        })
-    };
-    let breakdown_of = |doc: &Json, path: &str| -> ProfBreakdown {
-        doc.get("metrics")
+fn prof_analyze(args: &Args) {
+    let (tol, cfg) = diff_config(args, 25.0);
+    let breakdown_of = |path: &str| -> ProfBreakdown {
+        load_json(path)
+            .get("metrics")
             .and_then(ProfBreakdown::from_metrics_json)
             .unwrap_or_else(|| {
                 eprintln!("{path}: no prof.* metrics (was the run profiled?)");
                 std::process::exit(1);
             })
     };
-    let doc_a = load(files[0]);
-    let a = breakdown_of(&doc_a, files[0]);
-    println!("{}:", files[0]);
+    let path_a = args.positional(0).expect("checked by caller");
+    let a = breakdown_of(path_a);
+    println!("{path_a}:");
     print!("{}", a.render());
     let mut failed = !a.consistent();
-    if let Some(path_b) = files.get(1) {
-        let doc_b = load(path_b);
-        let b = breakdown_of(&doc_b, path_b);
+    if let Some(path_b) = args.positional(1) {
+        let b = breakdown_of(path_b);
         println!();
         println!("{path_b}:");
         print!("{}", b.render());
-        let tol: f64 = num_flag(args, "--tol").unwrap_or(25.0);
-        let mut cfg = DiffConfig::with_tol(tol / 100.0);
-        let mut i = at + 1;
-        while i < args.len() {
-            if args[i] == "--tol-path" {
-                let Some((prefix, pct)) = args.get(i + 1).and_then(|r| r.split_once('=')) else {
-                    eprintln!("--tol-path needs PREFIX=PCT");
-                    std::process::exit(2);
-                };
-                let Ok(pct) = pct.parse::<f64>() else {
-                    eprintln!("--tol-path: {pct:?} is not a number");
-                    std::process::exit(2);
-                };
-                cfg.rules.push((prefix.to_owned(), pct / 100.0));
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
         failed |= !b.consistent();
-        let result = diff_reports(&a.to_json(), &b.to_json(), &cfg);
         println!();
-        if result.ok() {
-            println!(
-                "prof sections match ({} values compared, tol {tol}%)",
-                result.compared
-            );
-        } else {
-            for v in &result.violations {
-                eprintln!("DIFF {v}");
-            }
-            eprintln!(
-                "prof sections diverge: {} violation(s) across {} compared values",
-                result.violations.len(),
-                result.compared
-            );
-            failed = true;
-        }
+        let result = diff_reports(&a.to_json(), &b.to_json(), &cfg);
+        failed |= !print_diff("prof sections", &result, tol);
     }
     if failed {
         std::process::exit(1);
     }
 }
 
-/// Live terminal monitor over a campaign's heartbeat stream
-/// (`progress.ndjson` in the result cache, or `--file PATH`). Redraws
-/// every `--interval-ms` (default 500) until the campaign ends;
-/// `--once` renders a single snapshot and exits (1 when the stream
-/// holds no campaign yet).
-fn top(args: &[String]) {
-    let file = flag_value(args, "--file")
+/// Live terminal monitor over a campaign's heartbeat stream, redrawn
+/// until the campaign ends; `--once` exits 1 when the stream holds no
+/// campaign yet. Malformed lines are counted, not fatal.
+fn top(args: &Args) {
+    let file = args
+        .value("--file")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| scale_out_processors::exec::default_cache_dir().join(PROGRESS_FILE));
-    let once = args.iter().any(|a| a == "--once");
-    let interval: u64 = num_flag(args, "--interval-ms").unwrap_or(500);
+    let once = args.switch("--once");
+    let interval: u64 = args.num("--interval-ms").unwrap_or(500);
     loop {
-        let snap = snapshot(&read_events(&file));
+        let (events, malformed) = read_events_counting(&file);
+        let snap = snapshot(&events);
+        let skipped = || {
+            if malformed > 0 {
+                println!("{malformed} malformed line(s) skipped");
+            }
+        };
         if once {
             match snap {
                 Some(s) => print!("{}", s.render()),
@@ -1364,7 +1041,7 @@ fn top(args: &[String]) {
                     std::process::exit(1);
                 }
             }
-            return;
+            return skipped();
         }
         // Clear the screen and repaint the panel in place.
         print!("\x1b[2J\x1b[H");
@@ -1372,35 +1049,24 @@ fn top(args: &[String]) {
             Some(s) => {
                 print!("{}", s.render());
                 if s.done {
-                    return;
+                    return skipped();
                 }
             }
             None => println!("sop top: waiting for events in {}", file.display()),
         }
+        skipped();
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
         std::thread::sleep(std::time::Duration::from_millis(interval));
     }
 }
 
-/// Dumps a report's top-level `metrics` object — pretty JSON by
-/// default, Prometheus text exposition with `--text` (counters, gauges,
-/// and histograms re-expanded into cumulative `_bucket` samples).
-fn metrics_cmd(args: &[String]) {
-    let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: sop metrics <report.json> [--text]");
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = scale_out_processors::obs::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{path} is not valid JSON: {e:?}");
-        std::process::exit(2);
-    });
+/// Dumps a report's top-level `metrics` object — pretty JSON, or
+/// Prometheus text exposition with `--text`.
+fn metrics_cmd(args: &Args) {
+    let doc = load_json(args.positional(0).expect("arity checked"));
     let metrics = doc.get("metrics").cloned().unwrap_or(Json::Null);
-    if args.iter().any(|a| a == "--text") {
+    if args.switch("--text") {
         print!("{}", exposition_from_json(&metrics));
         // Telemetry last-values: one sample per series in the report's
         // `series` section (when the run armed telemetry), so scrapes
@@ -1430,81 +1096,33 @@ fn metrics_cmd(args: &[String]) {
     }
 }
 
-/// Structurally compares two `sop-report/v1` documents. Numeric leaves
-/// are held to `--tol` percent (default exact); `--tol-path PREFIX=PCT`
-/// loosens individual subtrees (longest prefix wins). Wall-clock
-/// subtrees (`spans`, exec timings) are ignored. Exits 1 when any value
-/// moved beyond tolerance or a key appeared/vanished, 2 on usage or IO
-/// errors.
-fn diff(args: &[String]) {
-    let (Some(path_a), Some(path_b)) = (args.get(1), args.get(2)) else {
-        eprintln!("usage: sop diff <a.json> <b.json> [--tol PCT] [--tol-path PREFIX=PCT]");
-        std::process::exit(2);
+/// Structurally compares two `sop-report/v1` documents under `--tol`
+/// and `--tol-path`, ignoring wall-clock subtrees. Exits 1 when any
+/// value moved beyond tolerance or a key appeared/vanished, 2 on usage
+/// or IO errors.
+fn diff(args: &Args) {
+    let [path_a, path_b] = args.positionals() else {
+        unreachable!("arity checked")
     };
-    let tol: f64 = num_flag(args, "--tol").unwrap_or(0.0);
-    let mut cfg = DiffConfig::with_tol(tol / 100.0);
-    let mut i = 3;
-    while i < args.len() {
-        if args[i] == "--tol-path" {
-            let Some(rule) = args.get(i + 1) else {
-                eprintln!("--tol-path needs PREFIX=PCT");
-                std::process::exit(2);
-            };
-            let Some((prefix, pct)) = rule.split_once('=') else {
-                eprintln!("--tol-path needs PREFIX=PCT, got {rule:?}");
-                std::process::exit(2);
-            };
-            let Ok(pct) = pct.parse::<f64>() else {
-                eprintln!("--tol-path {rule:?}: {pct:?} is not a number");
-                std::process::exit(2);
-            };
-            cfg.rules.push((prefix.to_owned(), pct / 100.0));
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    let load = |path: &str| -> Json {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        scale_out_processors::obs::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{path} is not valid JSON: {e:?}");
-            std::process::exit(2);
-        })
-    };
-    let a = load(path_a);
-    let b = load(path_b);
-    let result = diff_reports(&a, &b, &cfg);
-    if result.ok() {
-        println!(
-            "{path_a} and {path_b} match ({} values compared, tol {tol}%)",
-            result.compared
-        );
-    } else {
-        for v in &result.violations {
-            eprintln!("DIFF {v}");
-        }
-        eprintln!(
-            "{path_a} and {path_b} diverge: {} violation(s) across {} compared values",
-            result.violations.len(),
-            result.compared
-        );
+    let (tol, cfg) = diff_config(args, 0.0);
+    let a = load_json(path_a);
+    let b = load_json(path_b);
+    if !print_diff(
+        &format!("{path_a} and {path_b}"),
+        &diff_reports(&a, &b, &cfg),
+        tol,
+    ) {
         std::process::exit(1);
     }
 }
 
-fn stack(args: &[String]) {
+fn stack(args: &Args) {
     let kind = core_kind(args);
-    let dies: u32 = match args.get(2).filter(|a| !a.starts_with("--")) {
-        None => 2,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("<dies>: {v:?} is not a valid number");
-            std::process::exit(2);
-        }),
-    };
-    let strategy = if args.iter().any(|a| a == "--fixed-distance") {
+    let dies: u32 = args.positional(1).map_or(2, |v| {
+        v.parse()
+            .unwrap_or_else(|_| fail(format_args!("[dies]: {v:?} is not a valid number")))
+    });
+    let strategy = if args.switch("--fixed-distance") {
         StackStrategy::FixedDistance
     } else {
         StackStrategy::FixedPod

@@ -9,17 +9,14 @@
 //! thing allowed to change the bytes is the seed itself.
 
 use scale_out_processors::exec::{Exec, ExecConfig};
-use scale_out_processors::fleet::{
-    add_slo_metrics, fleet_points, grid, resilience_grid, resilience_points, storm_pair,
-};
-use scale_out_processors::obs::{stabilized, Json, Registry, Report, SpanLog};
+use scale_out_processors::fleet::{campaign_report, grid, resilience_grid, storm_pair, Campaign};
+use scale_out_processors::obs::{stabilized, Json};
 
 pub const SERVERS: u32 = 8;
 
-/// Builds the stabilized report exactly the way `sop fleet` does for one
-/// campaign — engine campaign, metrics summed from the rows,
-/// `metrics.slo.*` folded from the armed rows, report document — and
-/// returns its pretty-printed bytes plus the document. The campaigns:
+/// Builds the stabilized report of one campaign through the builder
+/// `sop fleet` writes its report with, and returns its pretty-printed
+/// bytes plus the document. The campaigns:
 ///
 /// - `plain`: `sop fleet`, every organization × policy;
 /// - `resilience`: `sop fleet --resilience`, the ambient grid for one
@@ -36,59 +33,23 @@ pub fn fleet_report(
         cache_dir: Some(dir.to_path_buf()),
         ..ExecConfig::default()
     });
-    let mut spans = SpanLog::new();
-    let mut metrics = Registry::new();
-    let (name, title, rows) = if campaign == "plain" {
-        let specs = grid(SERVERS, seed, true, None, None);
-        let rows = spans.time("fleet", |_| fleet_points(&exec, "fleet", &specs));
-        for row in &rows {
-            for key in ["offered", "served", "dropped"] {
-                metrics.counter_add(&format!("fleet.requests.{key}"), total_of(row, key));
-            }
+    let storm = || storm_pair("scaleout-ooo", SERVERS, seed, true);
+    let specs = match campaign {
+        "plain" => Campaign::Plain(grid(SERVERS, seed, true, None, None)),
+        "resilience" => {
+            let mut specs =
+                resilience_grid(SERVERS, seed, true, Some("scaleout-ooo"), None, None, None);
+            specs.extend(storm());
+            Campaign::Resilience(specs)
         }
-        metrics.gauge_set("fleet.points", rows.len() as f64);
-        ("fleet", "Scale-Out Processors: fleet simulation", rows)
-    } else {
-        let mut specs = match campaign {
-            "resilience" => {
-                resilience_grid(SERVERS, seed, true, Some("scaleout-ooo"), None, None, None)
-            }
-            "storm" => Vec::new(),
-            other => panic!("unknown fleet campaign {other:?}"),
-        };
-        specs.extend(storm_pair("scaleout-ooo", SERVERS, seed, true));
-        let rows = spans.time("resilience", |_| {
-            resilience_points(&exec, "resilience", &specs)
-        });
-        for row in &rows {
-            for key in ["offered", "issued", "retries", "hedges", "goodput", "shed"] {
-                metrics.counter_add(&format!("fleet.resilience.{key}"), total_of(row, key));
-            }
-        }
-        metrics.gauge_set("fleet.resilience.points", rows.len() as f64);
-        (
-            "resilience",
-            "Scale-Out Processors: fleet resilience simulation",
-            rows,
-        )
+        "storm" => Campaign::Resilience(storm()),
+        other => panic!("unknown fleet campaign {other:?}"),
     };
+    let config = Json::object().with("servers", SERVERS).with("seed", seed);
+    let report = campaign_report(&exec, &specs, true, SERVERS, config);
     assert!(exec.failures().is_empty(), "{:?}", exec.failures());
-    metrics.gauge_set("fleet.servers", f64::from(SERVERS));
-    add_slo_metrics(&rows, &mut metrics);
-    metrics.merge(&exec.metrics_snapshot());
-    let mut report = Report::new("fleet", title);
-    report.set("campaign", Json::from(name));
-    report.set("quick", Json::from(true));
-    report.set(name, Json::Arr(rows));
-    let doc = stabilized(&report.to_json(&spans, &metrics));
+    let doc = stabilized(&report.doc);
     (doc.to_pretty_string(), doc)
-}
-
-pub fn total_of(row: &Json, key: &str) -> u64 {
-    row.get("totals")
-        .and_then(|t| t.get(key))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0) as u64
 }
 
 /// A scratch directory that cleans up after itself.

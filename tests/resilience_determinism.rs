@@ -10,7 +10,8 @@
 
 mod common;
 
-use common::{assert_schedule_independent, fleet_report, total_of, Scratch};
+use common::{assert_schedule_independent, fleet_report, Scratch};
+use scale_out_processors::fleet::row_total as total_of;
 use scale_out_processors::obs::Json;
 
 #[test]
