@@ -8,17 +8,19 @@ fn drive(kind: TopologyKind, cycles: u64) -> u64 {
     let mut net = Network::new(NocConfig::pod_64(kind));
     let cores = net.core_endpoints().to_vec();
     let llcs = net.llc_endpoints().to_vec();
+    let mut delivered = Vec::new();
     for cycle in 0..cycles {
         for (i, &c) in cores.iter().enumerate() {
             if (cycle as usize + i).is_multiple_of(25) {
                 let dst = llcs[(i * 13 + cycle as usize) % llcs.len()];
                 if dst != c {
-                    net.inject(c, dst, MessageClass::Request, 0, cycle);
-                    net.inject(dst, c, MessageClass::Response, 0, cycle);
+                    net.inject(c, dst, MessageClass::Request, cycle);
+                    net.inject(dst, c, MessageClass::Response, cycle);
                 }
             }
         }
-        net.step(cycle);
+        net.step(cycle, &mut delivered);
+        delivered.clear();
     }
     net.counters().flit_hops
 }

@@ -15,10 +15,12 @@
 //!
 //! The suite exists to pin the event-driven engine's speedup in-repo:
 //! `BENCH_sim.json` commits the numbers, and [`check_regression`] lets
-//! CI fail a PR whose cold wall time regresses past a tolerance.
+//! CI fail a PR whose cold wall time regresses past a tolerance. Every
+//! run records its host signature (CPUs, campaign workers), and the gate
+//! refuses to compare walls measured at different worker counts.
 
 use crate::campaign::run_campaign;
-use sop_exec::Exec;
+use sop_exec::{default_workers, Exec};
 use sop_noc::TopologyKind;
 use sop_obs::{Json, Registry};
 use sop_sim::{cycles_simulated, Machine, SimConfig};
@@ -211,6 +213,7 @@ pub fn run_suite_with_metrics(quick: bool, jobs: usize, only: Option<&[&str]>) -
     let chapter_wall_ms = wall_sum(rows, true);
     let mut section = Json::object()
         .with("quick", quick)
+        .with("host", host_signature(exec.workers()))
         .with("micro", micro)
         .with("campaigns", campaigns)
         .with("total_wall_ms", total_wall_ms);
@@ -226,8 +229,8 @@ pub fn run_suite_with_metrics(quick: bool, jobs: usize, only: Option<&[&str]>) -
 }
 
 /// Builds one bench-history entry from a freshly-run section: commit,
-/// date, and the per-tier Mcycles/s + wall numbers the trajectory is
-/// judged on.
+/// date, host signature, and the per-tier Mcycles/s + wall numbers the
+/// trajectory is judged on.
 pub fn history_entry(section: &Json, commit: &str, date: &str) -> Json {
     let tier = |rows: Option<&[Json]>, name_key: &str, keep: &[&str]| -> Json {
         Json::Arr(
@@ -252,6 +255,7 @@ pub fn history_entry(section: &Json, commit: &str, date: &str) -> Json {
         .with("commit", commit)
         .with("date", date)
         .with("quick", section.get("quick").cloned().unwrap_or(Json::Null))
+        .with("host", section.get("host").cloned().unwrap_or(Json::Null))
         .with(
             "micro",
             tier(
@@ -297,11 +301,13 @@ pub fn append_history(section: &mut Json, previous: Option<&Json>, entry: Json) 
     section.insert("history", Json::Arr(history));
 }
 
-/// The current commit's short hash, or `"unknown"` outside a git
+/// The current commit's short hash, suffixed `-dirty` when the working
+/// tree has uncommitted changes (so an entry measured before committing
+/// does not claim its parent's numbers), or `"unknown"` outside a git
 /// checkout.
 pub fn commit_hash() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty", "--exclude", "*"])
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -340,38 +346,90 @@ fn bench_section(doc: &Json) -> &Json {
         .unwrap_or(doc)
 }
 
+/// The host signature a bench entry records: the CPUs the process may
+/// use and its campaign worker count (`jobs`, 0 meaning one per CPU).
+pub fn host_signature(jobs: usize) -> Json {
+    let jobs = if jobs == 0 { default_workers() } else { jobs };
+    Json::object()
+        .with("nproc", default_workers())
+        .with("jobs", jobs)
+}
+
+/// The entry a document is judged by: the latest `history` entry, or
+/// for documents from before history tracking the section itself.
+fn latest_entry(doc: &Json) -> &Json {
+    let section = bench_section(doc);
+    section
+        .get("history")
+        .and_then(Json::as_arr)
+        .and_then(<[Json]>::last)
+        .unwrap_or(section)
+}
+
+/// Whether wall times measured under host signature `current` may be
+/// judged against `baseline`'s latest entry: only at the same campaign
+/// worker count.
+///
+/// # Errors
+///
+/// Either side without a signature, or different `jobs`, with the
+/// reason.
+pub fn check_comparable(current: &Json, baseline: &Json) -> Result<(), String> {
+    let signature = |host: Option<&Json>, which: &str| -> Result<(f64, f64), String> {
+        let field = |k: &str| host.and_then(|h| h.get(k)).and_then(Json::as_f64);
+        match (field("nproc"), field("jobs")) {
+            (Some(nproc), Some(jobs)) => Ok((nproc, jobs)),
+            _ => Err(format!(
+                "the {which} entry records no host signature (nproc, jobs); \
+                 its wall times cannot be compared"
+            )),
+        }
+    };
+    let (cur_nproc, cur_jobs) = signature(Some(current), "current")?;
+    let (base_nproc, base_jobs) = signature(latest_entry(baseline).get("host"), "baseline")?;
+    if cur_jobs != base_jobs {
+        return Err(format!(
+            "the baseline ran at --jobs {base_jobs} on {base_nproc} CPUs and this run at \
+             --jobs {cur_jobs} on {cur_nproc}: wall times at different worker counts are not \
+             comparable (rerun with --jobs {base_jobs})"
+        ));
+    }
+    Ok(())
+}
+
 /// Compares per-campaign wall times against a baseline document: any
 /// campaign present in both that is slower by more than `tol_pct`
 /// percent is a regression. Returns the violations (empty = pass).
 /// Campaigns missing from either side are ignored, so a smoke run over
-/// one chapter can be judged against the full committed suite. A
-/// baseline with a `history` array is judged by its **latest** entry;
-/// documents from before history tracking fall back to the flat
-/// `campaigns` rows.
-pub fn check_regression(current: &Json, baseline: &Json, tol_pct: f64) -> Vec<String> {
-    let walls = |doc: &Json| -> Vec<(String, f64)> {
-        let section = bench_section(doc);
-        let rows = section
-            .get("history")
+/// one chapter can be judged against the full committed suite. Each
+/// document is judged by its latest history entry.
+///
+/// # Errors
+///
+/// Entries that are not comparable (see [`check_comparable`]).
+pub fn check_regression(
+    current: &Json,
+    baseline: &Json,
+    tol_pct: f64,
+) -> Result<Vec<String>, String> {
+    let (cur, base) = (latest_entry(current), latest_entry(baseline));
+    check_comparable(cur.get("host").unwrap_or(&Json::Null), baseline)?;
+    let walls = |entry: &Json| -> Vec<(String, f64)> {
+        entry
+            .get("campaigns")
             .and_then(Json::as_arr)
-            .and_then(<[Json]>::last)
-            .and_then(|latest| latest.get("campaigns"))
-            .and_then(Json::as_arr)
-            .or_else(|| section.get("campaigns").and_then(Json::as_arr));
-        rows.map(|rows| {
-            rows.iter()
-                .filter_map(|row| {
-                    let name = row.get("campaign")?.as_str()?.to_owned();
-                    let wall = row.get("wall_ms")?.as_f64()?;
-                    Some((name, wall))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|row| {
+                let name = row.get("campaign")?.as_str()?.to_owned();
+                let wall = row.get("wall_ms")?.as_f64()?;
+                Some((name, wall))
+            })
+            .collect()
     };
-    let base = walls(baseline);
+    let base = walls(base);
     let mut violations = Vec::new();
-    for (name, cur_ms) in walls(current) {
+    for (name, cur_ms) in walls(cur) {
         let Some((_, base_ms)) = base.iter().find(|(n, _)| *n == name) else {
             continue;
         };
@@ -383,28 +441,42 @@ pub fn check_regression(current: &Json, baseline: &Json, tol_pct: f64) -> Vec<St
             ));
         }
     }
-    violations
+    Ok(violations)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn host(jobs: u64) -> Json {
+        Json::object().with("nproc", 2u64).with("jobs", jobs)
+    }
+
+    fn campaigns(rows: &[(&str, u64)]) -> Json {
+        Json::Arr(
+            rows.iter()
+                .map(|(name, ms)| Json::object().with("campaign", *name).with("wall_ms", *ms))
+                .collect(),
+        )
+    }
+
     fn section(rows: &[(&str, u64)]) -> Json {
-        let campaigns = rows
-            .iter()
-            .map(|(name, ms)| Json::object().with("campaign", *name).with("wall_ms", *ms))
-            .collect();
-        Json::object().with("campaigns", Json::Arr(campaigns))
+        Json::object()
+            .with("host", host(1))
+            .with("campaigns", campaigns(rows))
+    }
+
+    fn check(current: &Json, baseline: &Json) -> Vec<String> {
+        check_regression(current, baseline, 25.0).expect("comparable")
     }
 
     #[test]
     fn regression_check_flags_only_slowdowns_past_tolerance() {
         let base = section(&[("ch3", 1_000), ("ch4", 2_000)]);
         let ok = section(&[("ch3", 1_200), ("ch4", 1_900)]);
-        assert!(check_regression(&ok, &base, 25.0).is_empty());
+        assert!(check(&ok, &base).is_empty());
         let slow = section(&[("ch3", 1_300)]);
-        let v = check_regression(&slow, &base, 25.0);
+        let v = check(&slow, &base);
         assert_eq!(v.len(), 1);
         assert!(v[0].starts_with("ch3:"), "{v:?}");
     }
@@ -416,7 +488,23 @@ mod tests {
             Json::object().with("bench", section(&[("ch3", 1_000)])),
         );
         let current = section(&[("ch3", 900), ("ch6", 99_999)]);
-        assert!(check_regression(&current, &base, 25.0).is_empty());
+        assert!(check(&current, &base).is_empty());
+    }
+
+    #[test]
+    fn regression_check_refuses_entries_from_different_worker_counts() {
+        let base = section(&[("ch3", 1_000)]);
+        let two = Json::object()
+            .with("host", host(2))
+            .with("campaigns", campaigns(&[("ch3", 100)]));
+        let err = check_regression(&two, &base, 25.0).expect_err("jobs differ");
+        assert!(err.contains("rerun with --jobs 1"), "{err}");
+        let unsigned = Json::object().with("campaigns", campaigns(&[("ch3", 1_000)]));
+        let err = check_regression(&base, &unsigned, 25.0).expect_err("no host");
+        assert!(
+            err.contains("baseline entry records no host signature"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -441,25 +529,13 @@ mod tests {
         // 2000ms: a 1900ms current run passes only if the gate reads the
         // history entry.
         let mut base = section(&[("ch3", 1_000)]);
-        let older = Json::object().with(
-            "campaigns",
-            section(&[("ch3", 500)])
-                .get("campaigns")
-                .cloned()
-                .expect("rows"),
-        );
-        let latest = Json::object().with(
-            "campaigns",
-            section(&[("ch3", 2_000)])
-                .get("campaigns")
-                .cloned()
-                .expect("rows"),
-        );
+        let older = section(&[("ch3", 500)]);
+        let latest = section(&[("ch3", 2_000)]);
         base.insert("history", Json::Arr(vec![older, latest]));
         let current = section(&[("ch3", 1_900)]);
-        assert!(check_regression(&current, &base, 25.0).is_empty());
+        assert!(check(&current, &base).is_empty());
         let slow = section(&[("ch3", 2_600)]);
-        assert_eq!(check_regression(&slow, &base, 25.0).len(), 1);
+        assert_eq!(check(&slow, &base).len(), 1);
     }
 
     #[test]
@@ -469,6 +545,7 @@ mod tests {
             .with("total_wall_ms", 700u64);
         let entry = history_entry(&fresh, "abc1234", "2026-08-09");
         assert_eq!(entry.get("commit").and_then(Json::as_str), Some("abc1234"));
+        assert_eq!(entry.get("host"), Some(&host(1)), "host signature carried");
         let campaigns = entry.get("campaigns").and_then(Json::as_arr).expect("rows");
         assert_eq!(
             campaigns[0].get("campaign").and_then(Json::as_str),

@@ -187,6 +187,9 @@ impl Command {
             }
             let Some(flag) = self.flag(arg) else {
                 let names: Vec<&str> = self.all_flags().map(|f| f.name).collect();
+                if names.is_empty() {
+                    return Err(format!("unknown flag {arg}; {} takes no flags", self.name));
+                }
                 return Err(format!("unknown flag {arg}; one of: {}", names.join(" ")));
             };
             if flag.name != REPEATABLE && args.flags.iter().any(|(n, _)| *n == flag.name) {

@@ -81,6 +81,12 @@ fn everything_the_table_does_not_list_is_rejected() {
     }
     let err = parse(&RUN, &["ch9"]).expect_err("unknown choice");
     assert!(err.contains("\"ch9\"") && err.contains("ch2 ch3"), "{err}");
+    static BARE: Command = Command::new("tool bare", "[n]", (0, 1), "no flags at all");
+    let err = parse(&BARE, &["--bogus"]).expect_err("no flags");
+    assert!(
+        err.contains("unknown flag --bogus; tool bare takes no flags"),
+        "{err}"
+    );
 }
 
 #[test]

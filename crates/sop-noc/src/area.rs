@@ -207,17 +207,19 @@ mod tests {
             let cores = net.core_endpoints().to_vec();
             let llcs = net.llc_endpoints().to_vec();
             let horizon = 6_000u64;
+            let mut delivered = Vec::new();
             for cycle in 0..horizon {
                 for (i, &c) in cores.iter().enumerate() {
                     if (cycle as usize + i * 3).is_multiple_of(40) {
                         let dst = llcs[(i * 7 + cycle as usize) % llcs.len()];
                         if dst != c {
-                            net.inject(c, dst, MessageClass::Request, 0, cycle);
-                            net.inject(dst, c, MessageClass::Response, 0, cycle);
+                            net.inject(c, dst, MessageClass::Request, cycle);
+                            net.inject(dst, c, MessageClass::Response, cycle);
                         }
                     }
                 }
-                net.step(cycle);
+                net.step(cycle, &mut delivered);
+                delivered.clear();
             }
             net.drain(20_000);
             let p = NocPowerEstimate::of(

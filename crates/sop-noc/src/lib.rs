@@ -18,10 +18,10 @@
 //! let mut net = Network::new(NocConfig::pod_64(TopologyKind::NocOut));
 //! let core = net.core_endpoints()[0];
 //! let bank = net.llc_endpoints()[0];
-//! let id = net.inject(core, bank, MessageClass::Request, 8, 0);
+//! let id = net.inject(core, bank, MessageClass::Request, 0);
 //! let mut delivered = Vec::new();
 //! for cycle in 1..200 {
-//!     delivered.extend(net.step(cycle));
+//!     net.step(cycle, &mut delivered);
 //! }
 //! assert!(delivered.iter().any(|d| d.packet == id));
 //! ```

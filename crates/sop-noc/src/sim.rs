@@ -8,11 +8,18 @@
 //! are charged as in-transit delay; per-packet flit order is preserved by
 //! deterministic routing and FIFO queues, so wormhole-style multi-flit
 //! packets reassemble in order at the destination.
+//!
+//! Switch allocation works from request bitsets kept up to date as head
+//! flits change: per (output, VC), bit *i* says input *i*'s head wants
+//! that output. A router's sweep visits only requested outputs, and each
+//! grant is a find-first-set from the round-robin pointer, so a step
+//! costs what is waiting, not ports × VCs × inputs.
 
 use crate::message::{Delivered, Flit, MessageClass, PacketId};
 use crate::slab::{SideTable, Slab};
-use crate::topology::{RouteHealth, Topology, TopologyKind};
-use std::collections::{BinaryHeap, VecDeque};
+use crate::topology::{RouteHealth, Topology, TopologyKind, UNREACHABLE};
+use sop_obs::prof::{NocPhase, PhaseMark, Prof};
+use std::collections::VecDeque;
 
 /// Number of virtual channels (one per message class).
 const VCS: usize = 3;
@@ -109,18 +116,101 @@ struct RouterState {
     credits: Vec<[u32; VCS]>,
     /// Round-robin pointer per output port (+1 for the local/eject port).
     rr: Vec<usize>,
+    /// 64-bit words in one input bitset.
+    words: usize,
+    /// Request bitsets, `words` per (output, VC) at
+    /// `(out * VCS + vc) * words`: bit *i* is set while input *i*'s VC
+    /// head flit wants that output.
+    requests: Vec<u64>,
+    /// Set bits in `requests` per output, over all VCs.
+    out_requests: Vec<u32>,
+    /// Outputs with a request, one bit each.
+    requested_outs: Vec<u64>,
+    /// Flits buffered over every input and VC.
+    buffered: u32,
 }
 
 impl RouterState {
-    /// Whether any input buffer still holds a flit.
-    fn has_buffered_flits(&self) -> bool {
-        self.inputs
-            .iter()
-            .any(|b| b.queues.iter().any(|q| !q.is_empty()))
+    fn new(n_inputs: usize, out_ports: usize, vc_depth: u32) -> Self {
+        let words = n_inputs.div_ceil(64);
+        RouterState {
+            inputs: (0..n_inputs).map(|_| InputBuffer::default()).collect(),
+            credits: vec![[vc_depth; VCS]; out_ports],
+            rr: vec![0; out_ports + 1],
+            words,
+            requests: vec![0; (out_ports + 1) * VCS * words],
+            out_requests: vec![0; out_ports + 1],
+            requested_outs: vec![0; (out_ports + 1).div_ceil(64)],
+            buffered: 0,
+        }
+    }
+
+    /// Records that `input`'s new VC-`vc` head wants `out`. A head with
+    /// no route ([`UNREACHABLE`]) requests nothing and never moves.
+    fn request(&mut self, out: usize, vc: usize, input: usize) {
+        if out == UNREACHABLE {
+            return;
+        }
+        self.requests[(out * VCS + vc) * self.words + input / 64] |= 1 << (input % 64);
+        self.out_requests[out] += 1;
+        self.requested_outs[out / 64] |= 1 << (out % 64);
+    }
+
+    /// Clears the request `input`'s VC-`vc` head held on `out`.
+    fn withdraw(&mut self, out: usize, vc: usize, input: usize) {
+        self.requests[(out * VCS + vc) * self.words + input / 64] &= !(1 << (input % 64));
+        self.out_requests[out] -= 1;
+        if self.out_requests[out] == 0 {
+            self.requested_outs[out / 64] &= !(1 << (out % 64));
+        }
+    }
+
+    /// The input (port, VC) that wins output `out` this cycle: the
+    /// highest VC (class priority) with credit and a request, then the
+    /// first requesting input at or after the round-robin pointer,
+    /// wrapping. Advances the pointer past the winner.
+    fn grant(&mut self, out: usize, is_local: bool) -> Option<(usize, usize)> {
+        for vc in (0..VCS).rev() {
+            if !is_local && self.credits[out][vc] == 0 {
+                continue;
+            }
+            let start = (out * VCS + vc) * self.words;
+            let set = &self.requests[start..start + self.words];
+            let rr = self.rr[out];
+            if let Some(input) = next_set_bit(set, rr).or_else(|| next_set_bit(set, 0)) {
+                self.rr[out] = (input + 1) % self.inputs.len();
+                return Some((input, vc));
+            }
+        }
+        None
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The lowest set bit at or after `from` in a multi-word bitset.
+fn next_set_bit(set: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut bits = *set.get(w)? & (!0 << (from % 64));
+    loop {
+        if bits != 0 {
+            return Some(w * 64 + bits.trailing_zeros() as usize);
+        }
+        w += 1;
+        bits = *set.get(w)?;
+    }
+}
+
+/// The output a head flit bound for `dst` requests at `node`: the local
+/// (eject) pseudo-port `local` at its destination, else the routing
+/// table's port.
+fn wanted_output(topo: &Topology, node: usize, dst: usize, local: usize) -> usize {
+    if dst == node {
+        local
+    } else {
+        topo.next_hop[node][dst]
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 struct Arrival {
     due: u64,
     node: usize,
@@ -128,7 +218,7 @@ struct Arrival {
     flit: Flit,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct CreditReturn {
     due: u64,
     node: usize,
@@ -136,29 +226,112 @@ struct CreditReturn {
     vc: usize,
 }
 
-// BinaryHeap is a max-heap; order events so earliest-due pops first.
-impl Ord for Arrival {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .due
-            .cmp(&self.due)
-            .then(other.flit.packet.cmp(&self.flit.packet))
+/// An event scheduled for a future cycle.
+trait Due {
+    fn due(&self) -> u64;
+}
+
+impl Due for Arrival {
+    fn due(&self) -> u64 {
+        self.due
     }
 }
-impl PartialOrd for Arrival {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl Due for CreditReturn {
+    fn due(&self) -> u64 {
+        self.due
     }
 }
-impl Ord for CreditReturn {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due)
+
+/// A timing wheel: events bucketed by due cycle modulo a power-of-two
+/// horizon longer than any delay the fabric charges, so every pending
+/// event is due within one turn and a bucket holds one due cycle.
+/// Events due the same cycle are independent — each lands on its own
+/// input queue (a channel moves one flit per cycle at a fixed delay) or
+/// bumps a credit counter — so a bucket needs no order.
+#[derive(Debug)]
+struct Wheel<T> {
+    slots: Vec<Vec<T>>,
+    pending: usize,
+}
+
+impl<T: Due> Wheel<T> {
+    fn new(max_delay: u64) -> Self {
+        Wheel {
+            slots: (0..horizon(max_delay)).map(|_| Vec::new()).collect(),
+            pending: 0,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pending == 0
+    }
+
+    fn slot(&self, due: u64) -> usize {
+        (due & (self.slots.len() as u64 - 1)) as usize
+    }
+
+    fn push(&mut self, event: T) {
+        let slot = self.slot(event.due());
+        self.slots[slot].push(event);
+        self.pending += 1;
+    }
+
+    /// Removes and returns the events due at `due`; hand the emptied
+    /// vector back with [`Wheel::restore`] to keep its allocation.
+    fn take(&mut self, due: u64) -> Vec<T> {
+        let slot = self.slot(due);
+        let bucket = std::mem::take(&mut self.slots[slot]);
+        self.pending -= bucket.len();
+        bucket
+    }
+
+    fn restore(&mut self, due: u64, mut bucket: Vec<T>) {
+        bucket.clear();
+        let slot = self.slot(due);
+        debug_assert!(
+            self.slots[slot].is_empty(),
+            "nothing is scheduled mid-drain"
+        );
+        self.slots[slot] = bucket;
+    }
+
+    /// The earliest due cycle after `now`, when every pending event is
+    /// due within one turn of `now`.
+    fn next_due(&self, now: u64) -> Option<u64> {
+        if self.is_empty() {
+            return None;
+        }
+        (now + 1..=now + self.slots.len() as u64)
+            .find(|&due| !self.slots[self.slot(due)].is_empty())
+    }
+
+    /// Widens the horizon past `max_delay` (a fault slowed a router or
+    /// link), re-bucketing whatever is pending.
+    fn fit(&mut self, max_delay: u64) {
+        if horizon(max_delay) > self.slots.len() {
+            let old = std::mem::replace(self, Wheel::new(max_delay));
+            old.slots.into_iter().flatten().for_each(|e| self.push(e));
+        }
     }
 }
-impl PartialOrd for CreditReturn {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// Wheel size for delays up to `max_delay` cycles.
+fn horizon(max_delay: u64) -> usize {
+    (max_delay as usize + 1).next_power_of_two()
+}
+
+/// The longest delay the fabric charges one flit hop: upstream router
+/// pipeline plus link flight. Credit returns (flight only) are shorter.
+fn max_hop_delay(topo: &Topology) -> u64 {
+    (0..topo.len())
+        .flat_map(|u| {
+            topo.channels[u]
+                .iter()
+                .map(move |ch| u64::from(topo.pipeline[u]) + u64::from(ch.latency))
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -293,8 +466,8 @@ pub struct Network {
     link_dst: Vec<Vec<(usize, usize)>>,
     /// `(node, in_port)` -> (upstream node, upstream out_port), if any.
     link_src: Vec<Vec<Option<(usize, usize)>>>,
-    arrivals: BinaryHeap<Arrival>,
-    credit_returns: BinaryHeap<CreditReturn>,
+    arrivals: Wheel<Arrival>,
+    credit_returns: Wheel<CreditReturn>,
     /// Per-packet state, indexed by [`PacketId`]. Slots retired by a step
     /// are reclaimed only at the *next* step, so between two steps a
     /// caller may key its own side tables by packet id without a
@@ -304,14 +477,10 @@ pub struct Network {
     counters: TrafficCounters,
     /// Flits sent per (node, output port), for utilization analysis.
     channel_flits: Vec<Vec<u64>>,
-    /// Nodes holding at least one buffered flit, ascending — the only
-    /// routers switch allocation has to visit.
-    worklist: Vec<usize>,
-    /// `worklist` membership flags (including nodes pending insertion).
-    is_active: Vec<bool>,
-    /// Nodes activated since the last step, merged into `worklist` (and
-    /// re-sorted) when the next step begins.
-    pending_activation: Vec<usize>,
+    /// The worklist: one bit per node holding at least one buffered
+    /// flit — the only routers switch allocation has to visit, in
+    /// ascending node order.
+    active: Vec<u64>,
     /// Routers removed by faults. Empty on fault-free runs; routing
     /// tables (not per-flit checks) carry the effect, so the hot path
     /// never consults this.
@@ -322,6 +491,9 @@ pub struct Network {
     /// `None` until [`Network::enable_packet_tracing`] arms it, so an
     /// untraced run pays exactly one pointer-null test per hook.
     trace: Option<Box<SideTable<PacketTrace>>>,
+    /// Host time per step sub-phase; `None` until
+    /// [`Network::enable_profiling`] arms it.
+    prof: Option<Box<Prof>>,
     cycle: u64,
 }
 
@@ -348,38 +520,45 @@ impl Network {
         let mut routers = Vec::with_capacity(n);
         for node in 0..n {
             // +1 injection pseudo-port on every node (harmless where unused).
-            let inputs = (0..=in_count[node])
-                .map(|_| InputBuffer::default())
-                .collect();
-            let out_ports = topo.channels[node].len();
-            routers.push(RouterState {
-                inputs,
-                credits: vec![[cfg.vc_depth; VCS]; out_ports],
-                rr: vec![0; out_ports + 1],
-            });
+            routers.push(RouterState::new(
+                in_count[node] + 1,
+                topo.channels[node].len(),
+                cfg.vc_depth,
+            ));
             link_src[node].resize(in_count[node], None);
-            let _ = node;
         }
         let channel_flits = (0..n).map(|u| vec![0u64; topo.channels[u].len()]).collect();
+        let max_delay = max_hop_delay(&topo);
         Network {
             cfg,
             topo,
             routers,
             link_dst,
             link_src,
-            arrivals: BinaryHeap::new(),
-            credit_returns: BinaryHeap::new(),
+            arrivals: Wheel::new(max_delay),
+            credit_returns: Wheel::new(max_delay),
             packets: Slab::new(),
             counters: TrafficCounters::default(),
             channel_flits,
-            worklist: Vec::new(),
-            is_active: vec![false; n],
-            pending_activation: Vec::new(),
+            active: vec![0; n.div_ceil(64)],
             dead_routers: vec![false; n],
             dead_links: Vec::new(),
             trace: None,
+            prof: None,
             cycle: 0,
         }
+    }
+
+    /// Arms host-time profiling of [`Network::step`]'s sub-phases (see
+    /// [`NocPhase`]). Costs one `Option` branch per phase while disarmed.
+    pub fn enable_profiling(&mut self) {
+        self.prof = Some(Box::default());
+    }
+
+    /// The sub-phase profile accumulated since the last call, if armed;
+    /// the network stays armed with an empty profile.
+    pub fn take_profile(&mut self) -> Option<Prof> {
+        self.prof.as_deref_mut().map(std::mem::take)
     }
 
     /// Arms per-packet hop tracing. Until a packet is marked with
@@ -486,14 +665,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if either node is out of range.
-    pub fn inject(
-        &mut self,
-        src: usize,
-        dst: usize,
-        class: MessageClass,
-        _weight: u32,
-        cycle: u64,
-    ) -> PacketId {
+    pub fn inject(&mut self, src: usize, dst: usize, class: MessageClass, cycle: u64) -> PacketId {
         assert!(
             src < self.topo.len() && dst < self.topo.len(),
             "node out of range"
@@ -509,35 +681,37 @@ impl Network {
         });
         let inj_port = self.routers[src].inputs.len() - 1;
         for f in 0..flits {
-            self.routers[src].inputs[inj_port].queues[class.vc()].push_back(Flit {
+            let flit = Flit {
                 packet: id,
                 class,
                 dst,
                 is_head: f == 0,
                 is_tail: f == flits - 1,
-            });
+            };
+            self.enqueue(src, inj_port, flit);
         }
-        self.activate(src);
         id
+    }
+
+    /// Buffers `flit` at `node`'s input `in_port`: a flit reaching the
+    /// head of its VC queue raises that queue's request, and the node
+    /// joins the worklist.
+    fn enqueue(&mut self, node: usize, in_port: usize, flit: Flit) {
+        let router = &mut self.routers[node];
+        let vc = flit.class.vc();
+        let queue = &mut router.inputs[in_port].queues[vc];
+        queue.push_back(flit);
+        router.buffered += 1;
+        if queue.len() == 1 {
+            let out = wanted_output(&self.topo, node, flit.dst, router.rr.len() - 1);
+            router.request(out, vc, in_port);
+        }
+        self.active[node / 64] |= 1 << (node % 64);
     }
 
     /// Number of packets injected but not yet fully delivered.
     pub fn in_flight(&self) -> usize {
         self.packets.len()
-    }
-
-    /// Marks a node as holding buffered flits, queueing it for the next
-    /// step's worklist merge.
-    fn activate(&mut self, node: usize) {
-        if !self.is_active[node] {
-            self.is_active[node] = true;
-            self.pending_activation.push(node);
-        }
-    }
-
-    /// Whether any input buffer of `node` still holds a flit.
-    fn has_buffered_flits(&self, node: usize) -> bool {
-        self.routers[node].has_buffered_flits()
     }
 
     /// The earliest future cycle at which [`Network::step`] could do any
@@ -550,100 +724,100 @@ impl Network {
     /// later step restores every credit due by then before allocating
     /// the switch, so skipping over them is exact.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        if !self.worklist.is_empty() || !self.pending_activation.is_empty() {
+        if self.active.iter().any(|&w| w != 0) {
             return Some(self.cycle + 1);
         }
-        self.arrivals.peek().map(|a| a.due.max(self.cycle + 1))
+        self.arrivals.next_due(self.cycle)
     }
 
     /// Advances the network to `cycle` (which must be monotonically
-    /// increasing) and returns the packets fully delivered during it.
+    /// increasing) and appends the packets fully delivered during it to
+    /// `delivered`, so a caller can reuse one buffer across steps.
     ///
     /// Only *active* routers — those holding buffered flits — are swept
     /// by switch allocation; an idle router has nothing to arbitrate, so
     /// skipping it is exact. Callers that advance time themselves can
     /// consult [`Network::next_event_cycle`] and jump over idle spans.
-    pub fn step(&mut self, cycle: u64) -> Vec<Delivered> {
-        self.step_inner(cycle, false)
+    pub fn step(&mut self, cycle: u64, delivered: &mut Vec<Delivered>) {
+        self.step_inner(cycle, false, delivered);
     }
 
     /// [`Network::step`] sweeping *every* router, active or not: the
     /// pre-worklist reference semantics, bit-identical by construction.
     /// Equivalence tests drive one network with `step` and one with
     /// `step_full` and assert the outputs match.
-    pub fn step_full(&mut self, cycle: u64) -> Vec<Delivered> {
-        self.step_inner(cycle, true)
+    pub fn step_full(&mut self, cycle: u64, delivered: &mut Vec<Delivered>) {
+        self.step_inner(cycle, true, delivered);
     }
 
-    fn step_inner(&mut self, cycle: u64, sweep_all: bool) -> Vec<Delivered> {
+    fn step_inner(&mut self, cycle: u64, sweep_all: bool, delivered: &mut Vec<Delivered>) {
         assert!(cycle >= self.cycle, "cycles must not go backwards");
+        // Everything due by the previous step has been drained, and
+        // nothing pending is due more than one turn of the wheels (they
+        // share one horizon) past it: drain each cycle since, at most
+        // one turn's worth.
+        let turn = self.arrivals.slots.len() as u64;
+        let dues = (self.cycle + 1).max((cycle + 1).saturating_sub(turn))..=cycle;
         self.cycle = cycle;
+        let mut mark = PhaseMark::start(self.prof.is_some());
         // Packet slots retired by the previous step become reusable now
         // that the caller has had a full inter-step window to finish its
         // side-table bookkeeping for those deliveries.
         self.packets.reclaim_deferred();
         // 1. Credits that have returned upstream.
-        while let Some(cr) = self.credit_returns.peek() {
-            if cr.due > cycle {
-                break;
+        for due in dues.clone() {
+            let returned = self.credit_returns.take(due);
+            for cr in &returned {
+                self.routers[cr.node].credits[cr.out_port][cr.vc] += 1;
             }
-            let cr = self.credit_returns.pop().expect("peeked");
-            self.routers[cr.node].credits[cr.out_port][cr.vc] += 1;
+            self.credit_returns.restore(due, returned);
         }
-        // 2. Flits arriving at input buffers.
-        while let Some(a) = self.arrivals.peek() {
-            if a.due > cycle {
-                break;
-            }
-            let a = self.arrivals.pop().expect("peeked");
-            if let Some(trace) = &mut self.trace {
-                // A traced packet's tail reaching its destination's input
-                // buffer ends the route span; later re-deliveries of the
-                // timestamp are impossible (the tail arrives once).
-                if a.flit.is_tail && a.node == a.flit.dst {
-                    if let Some(t) = trace.get_mut(a.flit.packet) {
-                        t.tail_arrived.get_or_insert(cycle);
+        // 2. Flits arriving at input buffers, in due order.
+        for due in dues {
+            let arrived = self.arrivals.take(due);
+            for a in &arrived {
+                if let Some(trace) = &mut self.trace {
+                    // A traced packet's tail reaching its destination's
+                    // input buffer ends the route span; later
+                    // re-deliveries of the timestamp are impossible (the
+                    // tail arrives once).
+                    if a.flit.is_tail && a.node == a.flit.dst {
+                        if let Some(t) = trace.get_mut(a.flit.packet) {
+                            t.tail_arrived.get_or_insert(cycle);
+                        }
                     }
                 }
+                self.enqueue(a.node, a.in_port, a.flit);
             }
-            self.routers[a.node].inputs[a.in_port].queues[a.flit.class.vc()].push_back(a.flit);
-            self.activate(a.node);
+            self.arrivals.restore(due, arrived);
         }
+        mark.lap_noc(&mut self.prof, NocPhase::Drain);
         // 3. Switch allocation: one flit per output port per active node,
         // visited in ascending node order — the same relative order as a
-        // full 0..n sweep, so delivery order is unchanged.
-        if !self.pending_activation.is_empty() {
-            let mut pending = std::mem::take(&mut self.pending_activation);
-            self.worklist.append(&mut pending);
-            self.worklist.sort_unstable();
-        }
-        let mut delivered = Vec::new();
-        let worklist = std::mem::take(&mut self.worklist);
-        let full_sweep: Vec<usize>;
-        let sweep: &[usize] = if sweep_all {
-            full_sweep = (0..self.topo.len()).collect();
-            &full_sweep
+        // full 0..n sweep, so delivery order is unchanged. (A sweep
+        // only pops flits, so the worklist holds still under it.)
+        if sweep_all {
+            for node in 0..self.topo.len() {
+                self.sweep_node(node, cycle, delivered);
+            }
         } else {
-            &worklist
-        };
-        for &node in sweep {
-            self.sweep_node(node, cycle, &mut delivered);
-        }
-        // Drop drained routers from the worklist (buffers only empty
-        // during the sweep, so this is the one place nodes retire).
-        self.worklist = worklist;
-        let mut retained = 0;
-        for i in 0..self.worklist.len() {
-            let node = self.worklist[i];
-            if self.has_buffered_flits(node) {
-                self.worklist[retained] = node;
-                retained += 1;
-            } else {
-                self.is_active[node] = false;
+            let mut next = 0;
+            while let Some(node) = next_set_bit(&self.active, next) {
+                next = node + 1;
+                self.sweep_node(node, cycle, delivered);
             }
         }
-        self.worklist.truncate(retained);
-        delivered
+        mark.lap_noc(&mut self.prof, NocPhase::Alloc);
+        // Drop drained routers from the worklist (buffers only empty
+        // during the sweep, so this is the one place nodes retire).
+        let mut next = 0;
+        while let Some(node) = next_set_bit(&self.active, next) {
+            next = node + 1;
+            if self.routers[node].buffered == 0 {
+                self.active[node / 64] &= !(1 << (node % 64));
+            }
+        }
+        mark.lap_noc(&mut self.prof, NocPhase::Retire);
     }
 
     /// Runs the network until idle or `max_cycles`, returning deliveries.
@@ -657,7 +831,7 @@ impl Network {
             if next > end {
                 break;
             }
-            out.extend(self.step(next));
+            self.step(next, &mut out);
             if self.packets.is_empty() && self.arrivals.is_empty() {
                 break;
             }
@@ -687,6 +861,9 @@ impl Network {
         let health = self.topo.reroute(&dead, |u, p| links.contains(&(u, p)));
         self.dead_routers = dead;
         self.dead_links = links;
+        let max_delay = max_hop_delay(&self.topo);
+        self.arrivals.fit(max_delay);
+        self.credit_returns.fit(max_delay);
         health
     }
 
@@ -742,56 +919,36 @@ impl Network {
     }
 }
 
-/// Picks the input (port, vc) that wins output `out` at `node` this
-/// cycle: highest VC (class priority) first, round-robin among ports.
-fn pick_input(
-    router: &mut RouterState,
-    topo: &Topology,
-    node: usize,
-    out: usize,
-) -> Option<(usize, usize)> {
-    let out_ports = topo.channels[node].len();
-    let is_local = out == out_ports;
-    let n_inputs = router.inputs.len();
-    let rr = router.rr[out];
-    for vc in (0..VCS).rev() {
-        if !is_local && router.credits[out][vc] == 0 {
-            continue;
-        }
-        for i in 0..n_inputs {
-            let in_port = (rr + i) % n_inputs;
-            let head = router.inputs[in_port].queues[vc].front();
-            let Some(flit) = head else { continue };
-            let want_local = flit.dst == node;
-            if want_local != is_local {
-                continue;
-            }
-            if !is_local && topo.next_hop[node][flit.dst] != out {
-                continue;
-            }
-            router.rr[out] = (in_port + 1) % n_inputs;
-            return Some((in_port, vc));
-        }
-    }
-    None
-}
-
 impl Network {
     /// One node's switch allocation for one cycle: at most one flit per
     /// output port (local ejection is pseudo-port `out_ports`), class
     /// priority then round-robin. Effects land on the network in port
     /// order, so the floating-point flit-mm fold is a fixed sequence.
+    ///
+    /// Only requested outputs are visited, in ascending order, reading
+    /// the live request set: a head uncovered by a pop that wants a
+    /// later output still competes for it this cycle, exactly as in a
+    /// scan of every output.
     fn sweep_node(&mut self, node: usize, cycle: u64, delivered: &mut Vec<Delivered>) {
         let router = &mut self.routers[node];
         let topo = &self.topo;
         let out_ports = topo.channels[node].len();
-        for out in 0..=out_ports {
-            let Some((in_port, vc)) = pick_input(router, topo, node, out) else {
+        let mut next_out = 0;
+        while let Some(out) = next_set_bit(&router.requested_outs, next_out) {
+            next_out = out + 1;
+            let Some((in_port, vc)) = router.grant(out, out == out_ports) else {
                 continue;
             };
-            let flit = router.inputs[in_port].queues[vc]
-                .pop_front()
-                .expect("picked head exists");
+            let queue = &mut router.inputs[in_port].queues[vc];
+            let flit = queue.pop_front().expect("granted head exists");
+            let next_want = queue
+                .front()
+                .map(|head| wanted_output(topo, node, head.dst, out_ports));
+            router.buffered -= 1;
+            router.withdraw(out, vc, in_port);
+            if let Some(want) = next_want {
+                router.request(want, vc, in_port);
+            }
             if let Some(trace) = &mut self.trace {
                 // A traced head flit's *first* switch win is at the source
                 // (later hops happen at later cycles), ending the inject
@@ -870,7 +1027,7 @@ mod tests {
         let mut net = Network::new(NocConfig::pod_64(kind));
         let src = net.core_endpoints()[0];
         let dst = *net.llc_endpoints().last().expect("has llc endpoints");
-        net.inject(src, dst, class, 0, 0);
+        net.inject(src, dst, class, 0);
         let done = net.drain(10_000);
         assert_eq!(done.len(), 1);
         done[0].latency()
@@ -903,7 +1060,7 @@ mod tests {
         net.enable_packet_tracing();
         let src = net.core_endpoints()[0];
         let dst = *net.llc_endpoints().last().expect("has llc endpoints");
-        let id = net.inject(src, dst, MessageClass::Response, 0, 0);
+        let id = net.inject(src, dst, MessageClass::Response, 0);
         net.trace_packet(id);
         let done = net.drain(10_000);
         assert_eq!(done.len(), 1);
@@ -922,7 +1079,7 @@ mod tests {
         let mut net = Network::new(NocConfig::pod_64(TopologyKind::Mesh));
         net.enable_packet_tracing();
         let node = net.core_endpoints()[0];
-        let id = net.inject(node, node, MessageClass::Request, 0, 0);
+        let id = net.inject(node, node, MessageClass::Request, 0);
         net.trace_packet(id);
         let done = net.drain(10_000);
         assert_eq!(done.len(), 1);
@@ -937,7 +1094,7 @@ mod tests {
         let src = net.core_endpoints()[0];
         let dst = net.llc_endpoints()[0];
         // Not armed: marking is a no-op, delivery yields nothing.
-        let id = net.inject(src, dst, MessageClass::Request, 0, 0);
+        let id = net.inject(src, dst, MessageClass::Request, 0);
         net.trace_packet(id);
         let done = net.drain(10_000);
         assert_eq!(done.len(), 1);
@@ -945,7 +1102,7 @@ mod tests {
         // Armed but unmarked packets also stay invisible.
         let mut net = Network::new(NocConfig::pod_64(TopologyKind::Mesh));
         net.enable_packet_tracing();
-        net.inject(src, dst, MessageClass::Request, 0, 0);
+        net.inject(src, dst, MessageClass::Request, 0);
         let done = net.drain(10_000);
         assert_eq!(done.len(), 1);
         assert_eq!(net.take_packet_trace(&done[0]), None);
@@ -964,7 +1121,7 @@ mod tests {
         let mut net = Network::new(NocConfig::pod_64(TopologyKind::Mesh).with_link_bits(32));
         let src = net.core_endpoints()[0];
         let dst = net.llc_endpoints()[63];
-        net.inject(src, dst, MessageClass::Response, 0, 0);
+        net.inject(src, dst, MessageClass::Response, 0);
         let done = net.drain(10_000);
         let wide = run_single(TopologyKind::Mesh, MessageClass::Response);
         assert!(done[0].latency() > wide + 10);
@@ -980,11 +1137,11 @@ mod tests {
             for (i, &c) in cores.iter().enumerate() {
                 if (cycle as usize + i).is_multiple_of(7) {
                     let dst = llcs[(i * 31 + cycle as usize) % llcs.len()];
-                    net.inject(c, dst, MessageClass::Request, 0, cycle);
+                    net.inject(c, dst, MessageClass::Request, cycle);
                     expected += 1;
                 }
             }
-            net.step(cycle);
+            net.step(cycle, &mut Vec::new());
         }
         let mut got = net.counters().packets;
         let done = net.drain(50_000);
@@ -1003,11 +1160,11 @@ mod tests {
         let dst = net.llc_endpoints()[0];
         for src in net.core_endpoints().to_vec() {
             if src != dst {
-                net.inject(src, dst, MessageClass::Request, 0, 0);
+                net.inject(src, dst, MessageClass::Request, 0);
             }
         }
         let far = net.core_endpoints()[63];
-        let resp = net.inject(far, dst, MessageClass::Response, 0, 0);
+        let resp = net.inject(far, dst, MessageClass::Response, 0);
         let done = net.drain(100_000);
         let resp_done = done.iter().find(|d| d.packet == resp).expect("delivered");
         let worst_req = done
@@ -1024,7 +1181,7 @@ mod tests {
         let mut net = Network::new(NocConfig::pod_64(TopologyKind::Mesh));
         let src = net.core_endpoints()[0];
         let dst = net.llc_endpoints()[63];
-        net.inject(src, dst, MessageClass::Request, 0, 0);
+        net.inject(src, dst, MessageClass::Request, 0);
         net.drain(1000);
         let c = net.counters();
         assert_eq!(c.packets, 1);
@@ -1038,9 +1195,9 @@ mod tests {
         let mut net = Network::new(NocConfig::pod_64(TopologyKind::Mesh));
         let src = net.core_endpoints()[0];
         let dst = net.llc_endpoints()[63];
-        net.inject(src, dst, MessageClass::Request, 0, 0);
-        net.inject(dst, src, MessageClass::Response, 0, 0);
-        net.inject(dst, src, MessageClass::SnoopRequest, 0, 0);
+        net.inject(src, dst, MessageClass::Request, 0);
+        net.inject(dst, src, MessageClass::Response, 0);
+        net.inject(dst, src, MessageClass::SnoopRequest, 0);
         net.drain(10_000);
         let c = net.counters();
         assert_eq!(c.class_packets.iter().sum::<u64>(), c.packets);
@@ -1060,10 +1217,10 @@ mod tests {
         let mut net = Network::new(NocConfig::pod_64(TopologyKind::Mesh));
         let src = net.core_endpoints()[0];
         let dst = net.llc_endpoints()[63];
-        net.inject(src, dst, MessageClass::Request, 0, 0);
+        net.inject(src, dst, MessageClass::Request, 0);
         net.drain(1000);
         let before = net.counters();
-        net.inject(src, dst, MessageClass::Response, 0, net.counters().packets);
+        net.inject(src, dst, MessageClass::Response, net.counters().packets);
         net.drain(1000);
         let mut reg = sop_obs::Registry::new();
         net.counters()
@@ -1084,10 +1241,10 @@ mod tests {
         for cycle in 0..horizon {
             for (i, &c) in cores.iter().enumerate() {
                 if (cycle as usize + i).is_multiple_of(20) && c != dst {
-                    net.inject(c, dst, MessageClass::Response, 0, cycle);
+                    net.inject(c, dst, MessageClass::Response, cycle);
                 }
             }
-            net.step(cycle);
+            net.step(cycle, &mut Vec::new());
         }
         let max = net.max_channel_utilization(horizon);
         assert!(
@@ -1120,12 +1277,12 @@ mod tests {
                 if (cycle as usize + 3 * i).is_multiple_of(35) {
                     let dst = llcs[(i * 13 + cycle as usize) % llcs.len()];
                     if dst != c {
-                        net.inject(c, dst, MessageClass::Request, 0, cycle);
-                        net.inject(dst, c, MessageClass::Response, 0, cycle);
+                        net.inject(c, dst, MessageClass::Request, cycle);
+                        net.inject(dst, c, MessageClass::Response, cycle);
                     }
                 }
             }
-            net.step(cycle);
+            net.step(cycle, &mut Vec::new());
         }
         assert!(net.max_channel_utilization(horizon) < 0.85);
     }
@@ -1148,7 +1305,7 @@ mod tests {
         assert!(!health.is_partitioned());
         assert!(net.router_is_dead(1));
         assert!(net.topology().routes(0, 63));
-        net.inject(0, 63, MessageClass::Request, 0, 0);
+        net.inject(0, 63, MessageClass::Request, 0);
         let done = net.drain(10_000);
         assert_eq!(done.len(), 1, "detoured packet must still deliver");
         // The detour never transits the dead router and costs at most two
@@ -1177,7 +1334,7 @@ mod tests {
         assert!(!health.is_partitioned());
         // 0 -> 1 must now leave through a different port but still route.
         assert_ne!(net.topology().next_hop[0][1], east);
-        net.inject(0, 1, MessageClass::Request, 0, 0);
+        net.inject(0, 1, MessageClass::Request, 0);
         assert_eq!(net.drain(10_000).len(), 1);
         // Restoring the link brings the original table back.
         net.restore_link(0, east);
@@ -1214,7 +1371,7 @@ mod tests {
             faulty.degrade_link(0, port);
         }
         for net in [&mut healthy, &mut faulty] {
-            net.inject(0, 63, MessageClass::Request, 0, 0);
+            net.inject(0, 63, MessageClass::Request, 0);
         }
         let h = healthy.drain(10_000)[0].latency();
         let f = faulty.drain(10_000)[0].latency();
@@ -1239,7 +1396,7 @@ mod tests {
     #[should_panic(expected = "idle fabric")]
     fn faults_on_a_busy_fabric_panic() {
         let mut net = Network::new(NocConfig::pod_64(TopologyKind::Mesh));
-        net.inject(0, 63, MessageClass::Request, 0, 0);
+        net.inject(0, 63, MessageClass::Request, 0);
         net.fail_router(5);
     }
 
@@ -1247,7 +1404,7 @@ mod tests {
     fn self_injection_delivers_locally() {
         let mut net = Network::new(NocConfig::pod_64(TopologyKind::Mesh));
         let node = net.core_endpoints()[0];
-        let id = net.inject(node, node, MessageClass::Request, 0, 0);
+        let id = net.inject(node, node, MessageClass::Request, 0);
         let done = net.drain(100);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].packet, id);

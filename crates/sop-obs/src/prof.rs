@@ -79,6 +79,45 @@ impl Component {
     }
 }
 
+/// Sub-phases of [`Component::Noc`], timed inside `Network::step`: the
+/// network's own breakdown of its self-time. They run back to back
+/// within the NOC region, so they tile it (less the call and the two
+/// clock reads around it) and are reported as its children — never
+/// summed with the components.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NocPhase {
+    /// Credit returns and flit arrivals due since the previous step.
+    Drain,
+    /// Switch allocation over the swept routers: grants, pops, credit
+    /// and link bookkeeping, ejection.
+    Alloc,
+    /// Dropping drained routers from the worklist.
+    Retire,
+}
+
+impl NocPhase {
+    /// Every sub-phase, in step order.
+    pub const ALL: [NocPhase; 3] = [NocPhase::Drain, NocPhase::Alloc, NocPhase::Retire];
+
+    /// Registry key prefix, under [`Component::Noc`]'s.
+    pub fn key(self) -> &'static str {
+        match self {
+            NocPhase::Drain => "prof.noc.drain",
+            NocPhase::Alloc => "prof.noc.alloc",
+            NocPhase::Retire => "prof.noc.retire",
+        }
+    }
+
+    /// Human-readable table label.
+    pub fn label(self) -> &'static str {
+        match self {
+            NocPhase::Drain => "event drain",
+            NocPhase::Alloc => "switch allocation",
+            NocPhase::Retire => "worklist retire",
+        }
+    }
+}
+
 /// Key under which total `Machine::advance` wall time is exported.
 pub const ADVANCE_KEY: &str = "prof.advance";
 
@@ -88,6 +127,8 @@ pub const ADVANCE_KEY: &str = "prof.advance";
 pub struct Prof {
     ns: [u64; Component::ALL.len()],
     calls: [u64; Component::ALL.len()],
+    noc_ns: [u64; NocPhase::ALL.len()],
+    noc_calls: [u64; NocPhase::ALL.len()],
     /// Total wall time spent inside `Machine::advance` while armed.
     pub advance_ns: u64,
     /// Number of `advance` calls measured.
@@ -109,6 +150,28 @@ impl Prof {
     pub fn record(&mut self, c: Component, elapsed: Duration) {
         self.ns[c as usize] += elapsed.as_nanos() as u64;
         self.calls[c as usize] += 1;
+    }
+
+    /// Charges an elapsed NOC sub-phase.
+    #[inline]
+    pub fn record_noc(&mut self, phase: NocPhase, elapsed: Duration) {
+        self.noc_ns[phase as usize] += elapsed.as_nanos() as u64;
+        self.noc_calls[phase as usize] += 1;
+    }
+
+    /// Adds another profile's accumulators to this one (the network
+    /// keeps its sub-phases in its own profile; the machine folds them
+    /// in at each window export).
+    pub fn merge(&mut self, other: &Prof) {
+        let add = |a: &mut [u64], b: &[u64]| a.iter_mut().zip(b).for_each(|(a, b)| *a += b);
+        add(&mut self.ns, &other.ns);
+        add(&mut self.calls, &other.calls);
+        add(&mut self.noc_ns, &other.noc_ns);
+        add(&mut self.noc_calls, &other.noc_calls);
+        self.advance_ns += other.advance_ns;
+        self.advance_calls += other.advance_calls;
+        self.cycles += other.cycles;
+        self.ticks += other.ticks;
     }
 
     /// Charges one whole `advance(cycles)` call.
@@ -141,6 +204,10 @@ impl Prof {
         for c in Component::ALL {
             reg.counter_add(&format!("{}.ns", c.key()), self.ns[c as usize]);
             reg.counter_add(&format!("{}.calls", c.key()), self.calls[c as usize]);
+        }
+        for p in NocPhase::ALL {
+            reg.counter_add(&format!("{}.ns", p.key()), self.noc_ns[p as usize]);
+            reg.counter_add(&format!("{}.calls", p.key()), self.noc_calls[p as usize]);
         }
         reg.counter_add(&format!("{ADVANCE_KEY}.ns"), self.advance_ns);
         reg.counter_add(&format!("{ADVANCE_KEY}.calls"), self.advance_calls);
@@ -197,9 +264,20 @@ impl PhaseMark {
     /// even if a profiler appeared in between.
     #[inline]
     pub fn lap(&mut self, prof: &mut Option<Box<Prof>>, c: Component) {
+        self.lap_with(prof, |p, d| p.record(c, d));
+    }
+
+    /// [`lap`](PhaseMark::lap) for a NOC sub-phase.
+    #[inline]
+    pub fn lap_noc(&mut self, prof: &mut Option<Box<Prof>>, phase: NocPhase) {
+        self.lap_with(prof, |p, d| p.record_noc(phase, d));
+    }
+
+    #[inline]
+    fn lap_with(&mut self, prof: &mut Option<Box<Prof>>, charge: impl FnOnce(&mut Prof, Duration)) {
         if let (Some(prev), Some(p)) = (self.0, prof.as_deref_mut()) {
             let now = Instant::now();
-            p.record(c, now - prev);
+            charge(p, now - prev);
             self.0 = Some(now);
         }
     }
@@ -216,6 +294,10 @@ pub struct ProfRow {
     pub ns: u64,
     /// Number of region invocations.
     pub calls: u64,
+    /// Sub-phases timed inside this row's region (the NOC's
+    /// [`NocPhase`]s); empty for every other component and for profiles
+    /// recorded before the NOC was split.
+    pub children: Vec<ProfRow>,
 }
 
 /// Component self-time breakdown extracted from a profiled run's
@@ -238,42 +320,39 @@ impl ProfBreakdown {
     /// Extracts the breakdown from a registry, or `None` when the run
     /// was not profiled (no `prof.advance.calls` counter present).
     pub fn from_registry(reg: &Registry) -> Option<ProfBreakdown> {
-        if reg.counter(&format!("{ADVANCE_KEY}.calls")) == 0 {
-            return None;
-        }
-        let rows = Component::ALL
-            .iter()
-            .map(|&c| ProfRow {
-                label: c.label(),
-                key: c.key(),
-                ns: reg.counter(&format!("{}.ns", c.key())),
-                calls: reg.counter(&format!("{}.calls", c.key())),
-            })
-            .collect();
-        Some(ProfBreakdown {
-            rows,
-            advance_ns: reg.counter(&format!("{ADVANCE_KEY}.ns")),
-            advance_calls: reg.counter(&format!("{ADVANCE_KEY}.calls")),
-            cycles: reg.counter("prof.cycles"),
-            ticks: reg.counter("prof.ticks"),
-        })
+        Self::from_counters(|k| reg.counter(k))
     }
 
     /// Extracts the breakdown from a report's flat `metrics` object
     /// (for `sop prof --analyze <file>`), or `None` when the report
     /// carries no profile.
     pub fn from_metrics_json(metrics: &Json) -> Option<ProfBreakdown> {
-        let num = |k: &str| -> u64 { metrics.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64 };
+        Self::from_counters(|k| metrics.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64)
+    }
+
+    fn from_counters(num: impl Fn(&str) -> u64) -> Option<ProfBreakdown> {
         if num(&format!("{ADVANCE_KEY}.calls")) == 0 {
             return None;
         }
+        let row = |label, key: &'static str| ProfRow {
+            label,
+            key,
+            ns: num(&format!("{key}.ns")),
+            calls: num(&format!("{key}.calls")),
+            children: Vec::new(),
+        };
         let rows = Component::ALL
             .iter()
-            .map(|&c| ProfRow {
-                label: c.label(),
-                key: c.key(),
-                ns: num(&format!("{}.ns", c.key())),
-                calls: num(&format!("{}.calls", c.key())),
+            .map(|&c| {
+                let mut r = row(c.label(), c.key());
+                if c == Component::Noc {
+                    r.children = NocPhase::ALL
+                        .iter()
+                        .map(|&p| row(p.label(), p.key()))
+                        .filter(|p| p.calls > 0)
+                        .collect();
+                }
+                r
             })
             .collect();
         Some(ProfBreakdown {
@@ -291,10 +370,15 @@ impl ProfBreakdown {
     }
 
     /// Whether the disjoint-region invariant holds: component
-    /// self-times can never exceed the enclosing `advance` wall time.
-    /// `false` means the instrumentation is broken.
+    /// self-times can never exceed the enclosing `advance` wall time,
+    /// nor a row's sub-phases the row's own self-time. `false` means the
+    /// instrumentation is broken.
     pub fn consistent(&self) -> bool {
         self.component_ns() <= self.advance_ns
+            && self
+                .rows
+                .iter()
+                .all(|r| r.children.iter().map(|c| c.ns).sum::<u64>() <= r.ns)
     }
 
     /// Fraction of `advance` wall time attributed to a component
@@ -325,7 +409,7 @@ impl ProfBreakdown {
             "component", "calls", "self ms", "share", "ns/cycle"
         ));
         let cyc = self.cycles.max(1) as f64;
-        for r in &self.rows {
+        let mut line = |label: &str, r: &ProfRow| {
             let share = if self.advance_ns == 0 {
                 0.0
             } else {
@@ -333,12 +417,18 @@ impl ProfBreakdown {
             };
             out.push_str(&format!(
                 "{:<20} {:>12} {:>12.3} {:>6.1}% {:>10.2}\n",
-                r.label,
+                label,
                 r.calls,
                 r.ns as f64 / 1e6,
                 share,
                 r.ns as f64 / cyc
             ));
+        };
+        for r in &self.rows {
+            line(r.label, r);
+            for c in &r.children {
+                line(&format!("  {}", c.label), c);
+            }
         }
         out.push_str(&format!(
             "{:<20} {:>12} {:>12.3} {:>6.1}% {:>10.2}\n",
@@ -375,12 +465,16 @@ impl ProfBreakdown {
                     self.rows
                         .iter()
                         .map(|r| {
-                            Json::object()
-                                .with("component", r.label)
-                                .with("key", r.key)
-                                .with("ns", r.ns)
-                                .with("calls", r.calls)
-                                .with("share", r.ns as f64 / adv)
+                            let mut row = row_json(r, adv);
+                            if !r.children.is_empty() {
+                                row.insert(
+                                    "children",
+                                    Json::Arr(
+                                        r.children.iter().map(|c| row_json(c, adv)).collect(),
+                                    ),
+                                );
+                            }
+                            row
                         })
                         .collect(),
                 ),
@@ -397,6 +491,15 @@ impl ProfBreakdown {
             .with("coverage", self.coverage())
             .with("consistent", self.consistent())
     }
+}
+
+fn row_json(r: &ProfRow, advance_ns: f64) -> Json {
+    Json::object()
+        .with("component", r.label)
+        .with("key", r.key)
+        .with("ns", r.ns)
+        .with("calls", r.calls)
+        .with("share", r.ns as f64 / advance_ns)
 }
 
 #[cfg(test)]
@@ -481,6 +584,50 @@ mod tests {
         }
         assert!(table.contains("advance (total)"), "{table}");
         assert!(table.contains("(consistent)"), "{table}");
+    }
+
+    #[test]
+    fn noc_phases_are_children_of_the_noc_row() {
+        let mut p = profiled();
+        p.record_noc(NocPhase::Drain, Duration::from_nanos(100));
+        p.record_noc(NocPhase::Alloc, Duration::from_nanos(250));
+        p.record_noc(NocPhase::Retire, Duration::from_nanos(30));
+        let mut reg = Registry::new();
+        p.export(&mut reg);
+        let b = ProfBreakdown::from_registry(&reg).expect("profiled");
+        assert_eq!(b.component_ns(), 900, "children are not summed twice");
+        let noc = &b.rows[0];
+        assert_eq!(noc.children.len(), 3);
+        assert_eq!(noc.children.iter().map(|c| c.ns).sum::<u64>(), 380);
+        assert!(b.consistent());
+        let table = b.render();
+        assert!(table.contains("  switch allocation"), "{table}");
+        let j = b.to_json();
+        let rows = j.get("components").and_then(Json::as_arr).expect("rows");
+        let kids = rows[0]
+            .get("children")
+            .and_then(Json::as_arr)
+            .expect("children");
+        assert_eq!(kids.len(), 3);
+        assert!(rows[1].get("children").is_none());
+        // Sub-phases outgrowing their parent are a profiler bug.
+        p.record_noc(NocPhase::Alloc, Duration::from_nanos(100));
+        let mut reg = Registry::new();
+        p.export(&mut reg);
+        let b = ProfBreakdown::from_registry(&reg).expect("profiled");
+        assert!(!b.consistent());
+    }
+
+    #[test]
+    fn merged_profiles_add_up() {
+        let mut a = profiled();
+        let mut noc = Prof::new();
+        noc.record_noc(NocPhase::Drain, Duration::from_nanos(7));
+        a.merge(&noc);
+        a.merge(&profiled());
+        assert_eq!(a.component_ns(Component::Noc), 800);
+        assert_eq!(a.noc_ns[NocPhase::Drain as usize], 7);
+        assert_eq!(a.advance_calls, 2);
     }
 
     #[test]

@@ -612,6 +612,8 @@ pub struct Machine {
     /// path on its unprofiled branch — no clock reads — and exports no
     /// `prof.*` keys.
     prof: Option<Box<Prof>>,
+    /// Packets the network delivered this tick, reused across ticks.
+    delivered: Vec<Delivered>,
 }
 
 impl Machine {
@@ -716,6 +718,7 @@ impl Machine {
             events: None,
             txn_trace: None,
             prof: None,
+            delivered: Vec::new(),
         }
     }
 
@@ -823,15 +826,18 @@ impl Machine {
 
     /// Arms host-side self-profiling of the engine hot path. Scoped
     /// timers attribute `Machine::advance` wall time to the disjoint
-    /// tick phases — NOC step, delivery/directory handling, LLC bank
-    /// service, memory returns, core issue — plus the event scheduler's
-    /// next-event computation, exported as `prof.*` counters in
+    /// tick phases — NOC step (itself split into the network's
+    /// [`NocPhase`](sop_obs::prof::NocPhase)s), delivery/directory
+    /// handling, LLC bank service, memory returns, core issue — plus the
+    /// event scheduler's next-event computation, exported as `prof.*`
+    /// counters in
     /// [`metrics`](Self::metrics) (see [`sop_obs::prof`]). Profiling
     /// reads clocks and nothing else: simulated results stay
     /// bit-identical to an unprofiled run, and a machine that never
     /// arms it pays only a dead `Option` branch per region.
     pub fn enable_profiling(&mut self) {
         self.prof = Some(Box::new(Prof::new()));
+        self.net.enable_profiling();
     }
 
     /// The live host-time profile accumulated since the last window
@@ -910,7 +916,7 @@ impl Machine {
                 u64::from(core),
             );
         }
-        let packet = self.net.inject(src, dst, MessageClass::Request, 0, now);
+        let packet = self.net.inject(src, dst, MessageClass::Request, now);
         let txn = self.txns.insert(OpenRequest {
             core,
             line: req.line,
@@ -941,7 +947,7 @@ impl Machine {
         }
         let src = self.llc_node_of_bank(open.bank);
         let dst = self.core_node(open.core);
-        let resp = self.net.inject(src, dst, MessageClass::Response, 0, now);
+        let resp = self.net.inject(src, dst, MessageClass::Response, now);
         self.roles.insert(
             resp,
             PacketRole::Data {
@@ -1039,6 +1045,9 @@ impl Machine {
         // Export-and-reset keeps the additive counters window-scoped, so
         // the cumulative registry never double-counts.
         if let Some(p) = &mut self.prof {
+            if let Some(noc) = self.net.take_profile() {
+                p.merge(&noc);
+            }
             p.export(&mut window);
             p.reset();
         }
@@ -1478,15 +1487,17 @@ impl Machine {
         // both halves the clock reads and leaves no unattributed gap
         // between phases.
         let mut mark = PhaseMark::start(self.prof.is_some());
-        let delivered = if full {
-            self.net.step_full(now)
+        let mut delivered = std::mem::take(&mut self.delivered);
+        if full {
+            self.net.step_full(now, &mut delivered);
         } else {
-            self.net.step(now)
-        };
+            self.net.step(now, &mut delivered);
+        }
         mark.lap(&mut self.prof, HostComponent::Noc);
-        for d in delivered {
+        for d in delivered.drain(..) {
             self.handle_delivered(d, now);
         }
+        self.delivered = delivered;
         mark.lap(&mut self.prof, HostComponent::Directory);
         // 2. Bank accesses completing.
         self.pop_bank_events(now);
@@ -1604,9 +1615,7 @@ impl Machine {
                         self.l1s[t].snoop_invalidate(line);
                     }
                 }
-                let ack = self
-                    .net
-                    .inject(d.dst, d.src, MessageClass::Response, 0, now);
+                let ack = self.net.inject(d.dst, d.src, MessageClass::Response, now);
                 self.roles.insert(ack, PacketRole::SnoopAck(txn));
             }
             PacketRole::SnoopAck(txn) => {
@@ -1777,9 +1786,7 @@ impl Machine {
                         log.instant(now, "snoop", "coherence", u64::from(target));
                     }
                     let dst = self.core_node(target);
-                    let sp = self
-                        .net
-                        .inject(src, dst, MessageClass::SnoopRequest, 0, now);
+                    let sp = self.net.inject(src, dst, MessageClass::SnoopRequest, now);
                     self.roles.insert(sp, PacketRole::Snoop(txn));
                 }
                 self.txns.get_mut(txn).expect("open").pending_acks = n;

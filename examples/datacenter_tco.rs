@@ -4,15 +4,33 @@
 //! ```text
 //! cargo run --release --example datacenter_tco [memory_gb]
 //! ```
+//!
+//! `memory_gb` is a positive whole number (default 64); anything else
+//! exits 2.
 
 use scale_out_processors::core::designs::DesignKind;
+use scale_out_processors::exec::cli::{fail, Command};
 use scale_out_processors::tco::{Datacenter, TcoParams};
 
+static CLI: Command = Command::new(
+    "datacenter_tco",
+    "[memory_gb]",
+    (0, 1),
+    "compare 20MW datacenters built around each chip (GB of DRAM per server, default 64)",
+);
+
 fn main() {
-    let memory_gb: u32 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(64);
+    let args = CLI.parse(std::env::args().skip(1));
+    let memory_gb = args.positional(0).map_or(64, |a| {
+        a.parse::<u32>()
+            .ok()
+            .filter(|&gb| gb > 0)
+            .unwrap_or_else(|| {
+                fail(format_args!(
+                    "datacenter_tco: memory_gb must be a positive whole number, got {a:?}"
+                ))
+            })
+    });
     let params = TcoParams::thesis();
     println!(
         "20MW facility, {} racks, {}GB DRAM per 1U server\n",

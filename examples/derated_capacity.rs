@@ -9,11 +9,20 @@
 
 use scale_out_processors::bench::degradation;
 use scale_out_processors::core::designs::DesignKind;
+use scale_out_processors::exec::cli::{Command, Flag};
 use scale_out_processors::tco::{derated_performance, Datacenter, DegradationCurve, TcoParams};
 use scale_out_processors::tech::CoreKind;
 
+static CLI: Command = Command::new(
+    "derated_capacity",
+    "",
+    (0, 0),
+    "price degrade-vs-drain repair against the measured degradation curve",
+)
+.flags(&[Flag::switch("--quick", "shorter degradation sweep")]);
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = CLI.parse(std::env::args().skip(1)).switch("--quick");
 
     println!("Measuring the degradation curve (seeded router deaths)...\n");
     let rows = degradation::sweep(quick);

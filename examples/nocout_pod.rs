@@ -6,30 +6,41 @@
 //! ```
 //!
 //! where `workload` is one of: dataserving, mapreduce-c, mapreduce-w,
-//! streaming, sat, frontend, search (default: search).
+//! streaming, sat, frontend, search (default: search). Anything else
+//! exits 2 naming the valid set.
 
+use scale_out_processors::exec::cli::Command;
 use scale_out_processors::noc::{NocAreaBreakdown, NocConfig, TopologyKind};
 use scale_out_processors::sim::{Machine, SimConfig};
 use scale_out_processors::workloads::Workload;
 
-fn parse_workload(arg: Option<String>) -> Workload {
-    match arg.as_deref() {
+static CLI: Command = Command::new(
+    "nocout_pod",
+    "[workload]",
+    (0, 1),
+    "simulate the 64-core pod on the mesh, flattened butterfly and NOC-Out",
+)
+.choices(&[
+    "dataserving",
+    "mapreduce-c",
+    "mapreduce-w",
+    "streaming",
+    "sat",
+    "frontend",
+    "search",
+]);
+
+fn main() {
+    let args = CLI.parse(std::env::args().skip(1));
+    let workload = match args.positional(0) {
         Some("dataserving") => Workload::DataServing,
         Some("mapreduce-c") => Workload::MapReduceC,
         Some("mapreduce-w") => Workload::MapReduceW,
         Some("streaming") => Workload::MediaStreaming,
         Some("sat") => Workload::SatSolver,
         Some("frontend") => Workload::WebFrontend,
-        Some("search") | None => Workload::WebSearch,
-        Some(other) => {
-            eprintln!("unknown workload {other}, using Web Search");
-            Workload::WebSearch
-        }
-    }
-}
-
-fn main() {
-    let workload = parse_workload(std::env::args().nth(1));
+        _ => Workload::WebSearch,
+    };
     println!("64-core pod, 8MB LLC, 4 x DDR3 — workload: {workload}\n");
     println!(
         "{:22} {:>9} {:>9} {:>8} {:>9} {:>9}",

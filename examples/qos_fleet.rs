@@ -4,15 +4,33 @@
 //! ```text
 //! cargo run --release --example qos_fleet [latency_fraction]
 //! ```
+//!
+//! `latency_fraction` is a number in [0, 1] (default 0.6); anything else
+//! exits 2.
 
+use scale_out_processors::exec::cli::{fail, Command};
 use scale_out_processors::tco::{MixedFleet, TcoParams};
 use scale_out_processors::workloads::QosClass;
 
+static CLI: Command = Command::new(
+    "qos_fleet",
+    "[latency_fraction]",
+    (0, 1),
+    "provision a mixed latency/batch facility (fraction in [0, 1], default 0.6)",
+);
+
 fn main() {
-    let fraction: f64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(0.6);
+    let args = CLI.parse(std::env::args().skip(1));
+    let fraction = args.positional(0).map_or(0.6, |a| {
+        a.parse::<f64>()
+            .ok()
+            .filter(|f| (0.0..=1.0).contains(f))
+            .unwrap_or_else(|| {
+                fail(format_args!(
+                    "qos_fleet: latency_fraction must be a number in [0, 1], got {a:?}"
+                ))
+            })
+    });
     let params = TcoParams::thesis();
     println!(
         "mixed fleet: {:.0}% latency-sensitive, {:.0}% batch\n",

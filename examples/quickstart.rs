@@ -7,9 +7,18 @@
 
 use scale_out_processors::core::designs::{reference_chip, DesignKind};
 use scale_out_processors::core::pod::{optimal_pod, preferred_pod, PodSearchSpace};
+use scale_out_processors::exec::cli::Command;
 use scale_out_processors::tech::{CoreKind, TechnologyNode};
 
+static CLI: Command = Command::new(
+    "quickstart",
+    "",
+    (0, 0),
+    "derive a pod, compose a Scale-Out Processor, compare it with a conventional chip",
+);
+
 fn main() {
+    CLI.parse(std::env::args().skip(1));
     let node = TechnologyNode::N40;
 
     // 1. Derive the performance-density-optimal pod for out-of-order

@@ -5,10 +5,19 @@
 //! cargo run --release --example stacked_3d
 //! ```
 
+use scale_out_processors::exec::cli::Command;
 use scale_out_processors::tech::CoreKind;
 use scale_out_processors::threed::{compose_3d, Pod3d, StackStrategy};
 
+static CLI: Command = Command::new(
+    "stacked_3d",
+    "",
+    (0, 0),
+    "fixed-pod versus fixed-distance 3D pod scaling",
+);
+
 fn main() {
+    CLI.parse(std::env::args().skip(1));
     for (kind, base_cores, base_mb) in [
         (CoreKind::OutOfOrder, 32, 2.0),
         (CoreKind::InOrder, 64, 2.0),

@@ -3,17 +3,30 @@
 //! SimFlex-style confidence interval on each simulated point.
 //!
 //! ```text
-//! cargo run --release --example validate_model [search|sat|...]
+//! cargo run --release --example validate_model [search|sat|dataserving|mapreduce-w]
 //! ```
+//!
+//! The default is `search`; any other argument exits 2 naming the valid
+//! set.
 
+use scale_out_processors::exec::cli::Command;
 use scale_out_processors::model::{DesignPoint, ErrorStats, Interconnect};
 use scale_out_processors::noc::TopologyKind;
 use scale_out_processors::sim::{measure, SimConfig};
 use scale_out_processors::tech::{CoreKind, TechnologyNode};
 use scale_out_processors::workloads::Workload;
 
+static CLI: Command = Command::new(
+    "validate_model",
+    "[workload]",
+    (0, 1),
+    "model-vs-simulator IPC for one workload on a 4MB-LLC crossbar",
+)
+.choices(&["search", "sat", "dataserving", "mapreduce-w"]);
+
 fn main() {
-    let workload = match std::env::args().nth(1).as_deref() {
+    let args = CLI.parse(std::env::args().skip(1));
+    let workload = match args.positional(0) {
         Some("sat") => Workload::SatSolver,
         Some("dataserving") => Workload::DataServing,
         Some("mapreduce-w") => Workload::MapReduceW,

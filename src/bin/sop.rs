@@ -8,8 +8,8 @@
 //! 2 naming it and the valid set, before anything runs.
 
 use scale_out_processors::bench::bench::{
-    append_history, check_regression, commit_hash, history_entry, run_suite_with_metrics,
-    today_utc, BENCH_CAMPAIGNS,
+    append_history, check_comparable, check_regression, commit_hash, history_entry, host_signature,
+    run_suite_with_metrics, today_utc, BENCH_CAMPAIGNS,
 };
 use scale_out_processors::bench::campaign::{run_campaign, CAMPAIGNS};
 use scale_out_processors::core::designs::{reference_chip, DesignKind};
@@ -691,8 +691,16 @@ fn bench(args: &Args) {
     });
     let out = args.value("--json").unwrap_or("bench.json");
     let tol: f64 = args.num("--tol").unwrap_or(25.0);
-    // Read before the run, so a bad baseline fails before minutes of timing.
+    // Read and matched against this run's host signature before the
+    // run, so a bad baseline fails before minutes of timing.
     let baseline = args.value("--baseline").map(|path| (path, load_json(path)));
+    if let Some((path, base)) = &baseline {
+        if let Err(why) = check_comparable(&host_signature(jobs), base) {
+            fail(format_args!(
+                "sop bench: cannot judge against {path}: {why}"
+            ));
+        }
+    }
 
     let mut spans = SpanLog::new();
     let (mut data, metrics) = spans.time("bench", |_| {
@@ -729,7 +737,11 @@ fn bench(args: &Args) {
     println!("wrote {out}");
 
     if let Some((path, base)) = baseline {
-        let violations = check_regression(&doc, &base, tol);
+        let violations = check_regression(&doc, &base, tol).unwrap_or_else(|why| {
+            fail(format_args!(
+                "sop bench: cannot judge against {path}: {why}"
+            ))
+        });
         if violations.is_empty() {
             println!("bench within {tol:.0}% of {path}");
         } else {

@@ -165,6 +165,21 @@ fn anything_the_flag_table_does_not_list_exits_2_without_writing() {
             ],
             &["cannot read nope.json"],
         ),
+        // So does a baseline measured at another worker count (the
+        // committed history's latest entry ran at --jobs 1).
+        (
+            &[
+                "bench",
+                "--quick",
+                "--only",
+                "ch2",
+                "--jobs",
+                "2",
+                "--baseline",
+                concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_sim.json"),
+            ],
+            &["--jobs 2", "rerun with --jobs 1"],
+        ),
     ] {
         rejected_without_writing(&dir, args, needles);
     }

@@ -6,9 +6,12 @@
 //! both engines and exports no `prof.*` keys, and a stable report built
 //! from such a run is byte-for-byte reproducible. Arming the profiler
 //! adds the `prof.*` keys and nothing else — host-side timing must
-//! never perturb the simulated machine.
+//! never perturb the simulated machine. The NOC's sub-phases are
+//! children of its row: armed, they tile its self-time; disarmed, they
+//! add no keys.
 
 use scale_out_processors::noc::TopologyKind;
+use scale_out_processors::obs::prof::{Component, NocPhase};
 use scale_out_processors::obs::{
     diff_reports, stabilized, DiffConfig, ProfBreakdown, Registry, Report, SpanLog,
 };
@@ -68,4 +71,44 @@ fn arming_the_profiler_only_adds_prof_keys() {
         .expect("armed run exports prof.advance for the breakdown");
     assert!(breakdown.consistent(), "self-times exceed the advance wall");
     assert!(breakdown.advance_ns > 0);
+}
+
+#[test]
+fn noc_sub_phases_tile_the_noc_self_time() {
+    for reference in [false, true] {
+        let on = run(true, reference);
+        let m = &on.metrics;
+        let noc_ns = m.counter(&format!("{}.ns", Component::Noc.key()));
+        let noc_calls = m.counter(&format!("{}.calls", Component::Noc.key()));
+        assert!(noc_calls > 0, "the NOC stepped");
+        let mut sub_ns = 0;
+        for phase in NocPhase::ALL {
+            let calls = m.counter(&format!("{}.calls", phase.key()));
+            assert_eq!(calls, noc_calls, "{phase:?}: one lap per NOC step");
+            sub_ns += m.counter(&format!("{}.ns", phase.key()));
+        }
+        // The sub-phases run back to back inside the NOC region, so they
+        // never exceed it; what is left is the call and two clock reads.
+        assert!(sub_ns <= noc_ns, "sub-phases {sub_ns} ns > NOC {noc_ns} ns");
+        assert!(
+            sub_ns * 4 >= noc_ns,
+            "sub-phases cover under a quarter of the NOC: {sub_ns} of {noc_ns} ns"
+        );
+        let breakdown = ProfBreakdown::from_registry(m).expect("armed");
+        assert!(breakdown.consistent());
+        let noc = &breakdown.rows[0];
+        assert_eq!(noc.key, Component::Noc.key());
+        let children: Vec<_> = noc.children.iter().map(|c| c.key).collect();
+        let phases: Vec<_> = NocPhase::ALL.iter().map(|p| p.key()).collect();
+        assert_eq!(children, phases);
+        let table = breakdown.render();
+        for phase in NocPhase::ALL {
+            assert!(table.contains(&format!("  {}", phase.label())), "{table}");
+        }
+    }
+    let off = run(false, false);
+    assert!(
+        !off.metrics.iter().any(|(k, _)| k.starts_with("prof.noc")),
+        "disarmed run must not export NOC sub-phase keys"
+    );
 }

@@ -47,7 +47,7 @@ proptest! {
             let src = cores[(state >> 33) as usize % cores.len()];
             let dst = llcs[(state >> 17) as usize % llcs.len()];
             let class = MessageClass::ALL[i % 3];
-            net.inject(src, dst, class, 0, 0);
+            net.inject(src, dst, class, 0);
             injected += 1;
         }
         let delivered = net.drain(200_000);
@@ -248,7 +248,7 @@ proptest! {
         prop_assume!(src != dst);
         let zero_load = net.topology().zero_load_latency(src, dst);
         let serialization = class.flits(net.config().link_bits) - 1;
-        let id = net.inject(src, dst, class, 0, 0);
+        let id = net.inject(src, dst, class, 0);
         let done = net.drain(100_000);
         let d = done.iter().find(|d| d.packet == id).expect("delivered");
         prop_assert!(d.latency() >= u64::from(zero_load + serialization));
